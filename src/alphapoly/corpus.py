@@ -12,37 +12,16 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from .engine import _fl_coefficients, _fl_width
 from .graphs import Graph
 
 
-def _adjacency_charpoly_int(g: Graph) -> tuple[int, ...]:
-    """Integer adjacency charpoly via the trace recurrence; enumeration aid."""
-    n = g.n
-    if n == 0:
-        return (1,)
-    mat = [[1 if g.adjacent(i, j) else 0 for j in range(n)] for i in range(n)]
-    mk = [row[:] for row in mat]
-    coeffs = [1]
-    c = -sum(mk[i][i] for i in range(n))
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        for i in range(n):
-            mk[i][i] += c
-        cols = list(zip(*mk))
-        mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in mat]
-        c = -sum(mk[i][i] for i in range(n)) // k
-        coeffs.append(c)
-    return tuple(coeffs)
-
-
 def _invariant(g: Graph):
-    adj = _adjacency_charpoly_int(g)
-    triangles = []
-    for v in range(g.n):
-        nb = g.neighbors(v)
-        t = sum(1 for u in nb for w in nb if u < w and g.adjacent(u, w))
-        triangles.append(t)
-    return (g.n, g.m, tuple(sorted(g.degrees)), adj, tuple(sorted(triangles)))
+    # the mixing-matrix charpoly, here in packed form, is a permutation invariant
+    width = _fl_width(g.n, max(2, *g.degrees))
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    return (g.n, g.m, tuple(sorted(g.degrees)),
+            tuple(_fl_coefficients(g.degrees, nbrs, width)))
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:

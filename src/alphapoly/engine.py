@@ -1,13 +1,14 @@
 """The direct path: symbolic mixing matrices and exact characteristic
 polynomials.
 
-`charpoly_direct` runs the Faddeev-LeVerrier trace recurrence over Z[a].
-The recurrence only ever divides a trace by the integer step index, and
-that division is exact, so the whole computation stays in Z[a].  The inner
-loop packs each Z[a] entry into a single big integer (evaluation at a power
-of two wide enough to keep coefficients in separate, balanced digit slots),
-which turns polynomial matrix products into plain integer arithmetic while
-remaining exact.
+`charpoly_direct` runs the Faddeev-LeVerrier trace recurrence over Z[a],
+whose only divisions, by the step index, are exact.  Each Z[a] entry is
+packed into one big integer (evaluation at a = 2^w, w wide enough for
+balanced digit slots).  As M = diag(d)*2^w + (1 - 2^w)*A, row i of M X is
+the shifted neighbour-row update ((d_i*X[i] - S_i) << w) + S_i, S_i the sum
+of the rows of i's neighbours: a step costs O(n*(n+m)) big-integer
+additions and shifts, not n^3 big-integer products.  `corpus` uses the
+same kernel for its isomorphism invariant.
 
 `polymatrix_det` is the independent second algorithm: fraction-free Bareiss
 elimination over Q[a][l].  For integer-coefficient matrices it can also run
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .graphs import Graph, GraphParameterError
 from .polynomials import (
@@ -60,51 +62,67 @@ def _unpack(x: int, width: int, count: int) -> list[int]:
     return out
 
 
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+def _fl_coefficients(diag: Sequence[int], nbrs: Sequence[Iterable[int]],
+                     width: int) -> list[int]:
+    """Packed [c_1..c_n], P = l^n + c_1 l^(n-1) + ..., of M = a*diag(diag) +
+    (1-a)*A, A given by the neighbour lists nbrs, packed at a = 2^width.
 
-
-def _fl_coefficients(mat: list[list[int]], n: int) -> list[int]:
-    """Packed charpoly coefficients [c_1..c_n], P = l^n + c_1 l^(n-1) + ..."""
-    mk = [row[:] for row in mat]
-    c = -sum(mk[i][i] for i in range(n))
-    out = [c]
-    for k in range(2, n + 1):
-        for i in range(n):
-            mk[i][i] += c
-        mk = _matmul(mat, mk)
+    B_0 = I, M_k = M B_(k-1), c_k = -tr(M_k)/k, B_k = M_k + c_k I, each row
+    of M X by the shifted neighbour-row update.  All are polynomials in M,
+    hence symmetric: row i is computed from column i on.
+    """
+    n = len(diag)
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = []
+    for k in range(1, n + 1):
+        new = []
+        for i, (d, nb) in enumerate(zip(diag, nbrs)):
+            sums = map(sum, zip(*[mk[j][i:] for j in nb])) if nb else repeat(0)
+            tail = [((d * x - s) << width) + s for x, s in zip(mk[i][i:], sums)]
+            new.append([r[i] for r in new] + tail)
+        mk = new
         t = sum(mk[i][i] for i in range(n))
         if t % k:
             raise ArithmeticError("trace recurrence division not exact")
         c = -(t // k)
         out.append(c)
+        for i in range(n):
+            mk[i][i] += c
     return out
 
 
 def _fl_width(n: int, mu: int) -> int:
-    # coefficient growth per step is at most n*(n+1)*mu, starting from mu
+    """Slot width for `_fl_coefficients`, n >= 1, diagonal degrees <= mu >= 2.
+
+    Claim: every entry, row sum S_i, trace and coefficient the recurrence
+    forms is p(2^w), p in Z[a] of degree <= n and l1 norm |p| < 2^(w-2), so
+    p's coefficients sit in n+1 balanced slots and `_unpack` recovers them.
+    Proof: |.| is subadditive and submultiplicative.  Entries of M are d_i*a,
+    1-a or 0, so |M_ij| <= mu, at most n per row.  Let E_k, G_k bound the
+    entries of M_k, B_k (G_0 = 1) and q = n*(n+1)*mu.  Then E_1 <= mu,
+    E_k <= n*mu*G_(k-1), |tr M_k| <= n*E_k, |c_k| <= n*E_k/k and
+    G_k <= (n+1)*E_k; by induction E_k <= mu*q^(k-1),
+    G_k <= (n+1)*mu*q^(k-1), and traces and c_k are <= n*mu*q^(k-1).  In the
+    row update |S_i| <= n*G_(k-1) and |d_i*X[i] - S_i| <= (mu+n)*G_(k-1)
+    <= n*mu*G_(k-1) for n >= 2 (n = 1 has no S_i), so both are
+    <= mu*q^(k-1).  Degrees are <= k <= n.  Over k <= n the largest bound is
+    n*mu*q^(n-1) = `bound` (for n = 1 all are <= mu < bound = 2*mu^2), and
+    bound < 2^(w-2).  Packing is a ring homomorphism, so the integer
+    arithmetic yields exactly these images.
+    """
     bound = n * mu * max(n * (n + 1) * mu, 2) ** max(n - 1, 1)
     return bound.bit_length() + 2
 
 
-def _charpoly_packed(n: int, degree_of, adjacent) -> BiPoly:
-    """Charpoly of the matrix with diagonal degree_of(i)*a, off-diagonal (1-a)."""
+def _charpoly_packed(diag: Sequence[int], nbrs: Sequence[Iterable[int]]) -> BiPoly:
+    """Charpoly of a*diag(diag) + (1-a)*A, A given by the neighbour lists."""
+    n = len(diag)
     if n == 0:
         return BiPoly.one()
-    mu = max(2, max(degree_of(i) for i in range(n)))
-    width = _fl_width(n, mu)
-    unit = 1 << width  # the packed image of `a`
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = degree_of(i) * unit
-        for j in range(i + 1, n):
-            if adjacent(i, j):
-                mat[i][j] = mat[j][i] = 1 - unit
-    packed = _fl_coefficients(mat, n)
-    coeffs = [AlphaPoly(_unpack(c, width, n + 1)) for c in packed]
-    ascending = list(reversed(coeffs)) + [ALPHA_ONE]
-    return BiPoly(ascending)
+    width = _fl_width(n, max(2, *diag))
+    packed = _fl_coefficients(diag, nbrs, width)
+    return BiPoly([AlphaPoly(_unpack(c, width, n + 1)) for c in reversed(packed)]
+                  + [ALPHA_ONE])
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +221,7 @@ def adjacency_matrix(g: Graph) -> PolyMatrix:
 @lru_cache(maxsize=None)
 def charpoly_direct(g: Graph) -> BiPoly:
     """det(l*I - (a*D + (1-a)*A)) by the trace recurrence; monic, degree n."""
-    return _charpoly_packed(g.n, g.degree, g.adjacent)
+    return _charpoly_packed(g.degrees, [g.neighbors(v) for v in range(g.n)])
 
 
 @lru_cache(maxsize=None)
@@ -214,10 +232,10 @@ def _charpoly_principal(g: Graph, removed: frozenset) -> BiPoly:
     of the mixing matrix, not the matrix of an induced subgraph.
     """
     kept = [v for v in range(g.n) if v not in removed]
+    index = {v: i for i, v in enumerate(kept)}
     return _charpoly_packed(
-        len(kept),
-        lambda i: g.degree(kept[i]),
-        lambda i, j: g.adjacent(kept[i], kept[j]),
+        [g.degree(v) for v in kept],
+        [[index[u] for u in g.neighbors(v) if u in index] for v in kept],
     )
 
 

@@ -96,8 +96,20 @@ def numeric_spectrum(g: Graph, alpha) -> list[float]:
     return sorted((float(v) for v in vals), reverse=True)
 
 
-def _poly_floats(p: BiPoly, alpha) -> list[float]:
-    return [float(c.constant_value()) for c in eval_alpha(p, Fraction(alpha)).coeffs]
+def _power_sums(monic: list[Fraction]) -> list[float]:
+    """Power sums s_0..s_n of the roots of P = sum_j monic[j]*l^j, exactly.
+
+    With L the lcm of the denominators of the monic P, Q(y) = L^n*P(y/L)
+    has integer coefficients and the roots L*x, so Newton's identities run
+    in integers; s_k = S_k / L^k is the only rounding.
+    """
+    n = len(monic) - 1
+    scale = math.lcm(*(c.denominator for c in monic))
+    b = [(monic[n - i] * scale ** i).numerator for i in range(n + 1)]
+    sums = [n]
+    for k in range(1, n + 1):
+        sums.append(-(k * b[k] + sum(b[i] * sums[k - i] for i in range(1, k))))
+    return [s / scale ** k for k, s in enumerate(sums)]
 
 
 def roots_match(p: BiPoly, g: Graph, alphas, tol: float = DEFAULT_TOL,
@@ -106,7 +118,9 @@ def roots_match(p: BiPoly, g: Graph, alphas, tol: float = DEFAULT_TOL,
 
     Two coupled checks per weight: every numeric eigenvalue nearly zeroes
     the evaluated polynomial, and the first n Newton power sums of the
-    numeric eigenvalues agree with those implied by the coefficients.
+    numeric eigenvalues agree with those implied by the coefficients,
+    computed exactly since in floats their cancellation swamps the tolerance
+    from order 14 on.
     Residuals are scaled by the coefficient magnitude at the spectral
     radius, the natural backward-error scale for Horner evaluation.
     """
@@ -115,12 +129,12 @@ def roots_match(p: BiPoly, g: Graph, alphas, tol: float = DEFAULT_TOL,
         raise ValueError("polynomial degree must equal the vertex count")
     worst = 0.0
     for alpha in alphas:
-        coeffs = _poly_floats(p, alpha)
-        lead = coeffs[-1]
-        if abs(lead) < 1e-300:
+        exact = [c.constant_value() for c in eval_alpha(p, Fraction(alpha)).coeffs]
+        if len(exact) <= n:
             return VerdictReport("roots-match", label or g.describe(), "numeric",
                                  FAIL, float("inf"), "vanishing leading coefficient")
-        coeffs = [c / lead for c in coeffs]
+        monic = [c / exact[n] for c in exact]
+        coeffs = [float(c) for c in monic]
         eigs = numeric_spectrum(g, alpha)
         rho = max(1.0, max(abs(e) for e in eigs) if eigs else 1.0)
         scale = sum(abs(c) * rho ** k for k, c in enumerate(coeffs))
@@ -129,14 +143,7 @@ def roots_match(p: BiPoly, g: Graph, alphas, tol: float = DEFAULT_TOL,
             for c in reversed(coeffs):
                 acc = acc * mu + c
             worst = max(worst, abs(acc) / scale)
-        # power sums from coefficients via Newton's identities
-        e = [(-1) ** k * coeffs[n - k] for k in range(n + 1)]
-        s_from_p = [0.0] * (n + 1)
-        for k in range(1, n + 1):
-            acc = (-1) ** (k - 1) * k * e[k]
-            for i in range(1, k):
-                acc += (-1) ** (k - 1 + i) * e[k - i] * s_from_p[i]
-            s_from_p[k] = acc
+        s_from_p = _power_sums(monic)
         power = [1.0] * len(eigs)
         for k in range(1, n + 1):
             power = [pw * mu for pw, mu in zip(power, eigs)]

@@ -75,6 +75,16 @@ def test_verify_numeric_mode():
     assert text.count("status=pass") == 2
 
 
+def test_verify_numeric_high_order_polynomials_pass():
+    # exact power sums: in floats the Newton cancellation failed these
+    for theorem, graph in (("total-aalpha", "cycle:7"),
+                           ("line-regular-aalpha", "complete:7")):
+        code, text = run_cli("verify", "--theorem", theorem, "--graph", graph,
+                             "--numeric")
+        assert code == 0, text
+        assert text.count("status=pass") == 2
+
+
 def test_verify_coalescence_with_at():
     code, text = run_cli("verify", "--theorem", "coalescence",
                          "--graph", "star:4", "--at", "1,1")

@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from alphapoly import (
     AlphaPoly,
     BiPoly,
     EquitabilityError,
     FamilySpec,
+    Graph,
     LAM,
     PolyMatrix,
     alpha_matrix,
@@ -26,6 +28,7 @@ from alphapoly import (
     polymatrix_det,
     quotient_matrix,
 )
+from alphapoly.engine import _fl_coefficients, _fl_width, _pack, _unpack
 from alphapoly.polynomials import ALPHA
 from alphapoly.corpus import random_graph
 from conftest import fam
@@ -46,6 +49,138 @@ def _det_cofactor(rows):
         term = rows[0][j] * _det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def _fl_dense(mat, n):
+    """Packed [c_1..c_n] by dense matrix products; reference for the kernel."""
+    mk = [row[:] for row in mat]
+    c = -sum(mk[i][i] for i in range(n))
+    out = [c]
+    for k in range(2, n + 1):
+        for i in range(n):
+            mk[i][i] += c
+        cols = list(zip(*mk))
+        mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in mat]
+        t = sum(mk[i][i] for i in range(n))
+        assert t % k == 0
+        c = -(t // k)
+        out.append(c)
+    return out
+
+
+def _fl_exact_extremes(g):
+    """Run the trace recurrence for g over Z[a], without packing.
+
+    Returns the coefficients c_1..c_n and, over every entry of M_k and B_k,
+    every trace and every c_k, the largest |coefficient| and l1 norm.
+    """
+    n = g.n
+    weights = [[(0, g.degree(i)) if i == j else (1, -1) if g.adjacent(i, j)
+                else None for j in range(n)] for i in range(n)]
+    b = [[[int(i == j)] + [0] * n for j in range(n)] for i in range(n)]
+    largest = norm = 0
+    coeffs = []
+
+    def see(p):
+        nonlocal largest, norm
+        largest = max(largest, max(map(abs, p)))
+        norm = max(norm, sum(map(abs, p)))
+
+    for k in range(1, n + 1):
+        mk = []
+        for i in range(n):
+            row = []
+            for col in range(n):
+                acc = [0] * (n + 1)
+                for j in range(n):
+                    if weights[i][j]:
+                        c0, c1 = weights[i][j]
+                        x = b[j][col]
+                        acc[0] += c0 * x[0]
+                        for t in range(1, n + 1):
+                            acc[t] += c0 * x[t] + c1 * x[t - 1]
+                see(acc)
+                row.append(acc)
+            mk.append(row)
+        trace = [sum(mk[i][i][t] for i in range(n)) for t in range(n + 1)]
+        see(trace)
+        assert all(t % k == 0 for t in trace)
+        c = [-(t // k) for t in trace]
+        see(c)
+        coeffs.append(c)
+        for i in range(n):
+            mk[i][i] = [x + y for x, y in zip(mk[i][i], c)]
+            see(mk[i][i])
+        b = mk
+    return coeffs, largest, norm
+
+
+@st.composite
+def graphs_with_removed_vertices(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    removed = draw(st.frozensets(st.integers(0, n - 1))) if n else frozenset()
+    return Graph(n, [e for e, kept in zip(pairs, keep) if kept]), removed
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_with_removed_vertices())
+@example((Graph(0), frozenset()))
+@example((Graph(1), frozenset()))
+@example((Graph(3, [(0, 1)]), frozenset()))  # isolated vertex
+@example((fam("star", 4), frozenset({0})))  # kept leaves keep no neighbour
+def test_kernel_matches_dense_oracle_and_bareiss(case):
+    g, removed = case
+    kept = [v for v in range(g.n) if v not in removed]
+    index = {v: i for i, v in enumerate(kept)}
+    diag = [g.degree(v) for v in kept]
+    nbrs = [[index[u] for u in g.neighbors(v) if u in index] for v in kept]
+    k = len(kept)
+    if k:
+        width = _fl_width(k, max(2, *diag))
+        unit = 1 << width
+        mat = [[diag[i] * unit if i == j else (1 - unit) if j in nbrs[i] else 0
+                for j in range(k)] for i in range(k)]
+        assert _fl_coefficients(diag, nbrs, width) == _fl_dense(mat, k)
+    else:
+        assert _fl_coefficients(diag, nbrs, 8) == []
+    rows = lam_identity_minus(alpha_matrix(g)).rows
+    minor = PolyMatrix([[rows[i][j] for j in kept] for i in kept])
+    got = charpoly_submatrix_multi(g, removed)
+    assert got == polymatrix_det(minor, method="bareiss")
+    if not removed:
+        assert charpoly_direct(g) == got
+
+
+def test_unpack_round_trips_slot_extremes():
+    width = 8
+    low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    for coeffs in ([low, high, low], [high, low, high], [low] * 4, [high] * 4,
+                   [0, low, 0, high]):
+        assert _unpack(_pack(coeffs, width), width, len(coeffs)) == coeffs
+
+
+def test_unpack_raises_when_top_slot_overflows():
+    width = 8
+    half = 1 << (width - 1)
+    with pytest.raises(OverflowError):
+        _unpack(_pack([0, 0, half], width), width, 3)
+    with pytest.raises(OverflowError):
+        _unpack(_pack([0, -half - 1], width), width, 2)
+
+
+def test_fl_width_bounds_every_intermediate():
+    for n in range(1, 13):
+        for g in (fam("complete", n), fam("star", n)):
+            width = _fl_width(n, max(2, *g.degrees))
+            coeffs, largest, norm = _fl_exact_extremes(g)
+            # the docstring's claim, and what `_unpack` needs
+            assert norm < 1 << (width - 2)
+            assert largest < 1 << (width - 1)
+            p = charpoly_direct(g)
+            assert [p.coefficient(n - k) for k in range(1, n + 1)] == \
+                [AlphaPoly(c) for c in coeffs]
 
 
 def test_alpha_matrix_k2():

@@ -17,8 +17,8 @@ from alphapoly import (
     roots_match,
 )
 from alphapoly.corpus import random_graph
-from alphapoly.numeric import alpha_grid, alpha_matrix_float
-from alphapoly.polynomials import LAM
+from alphapoly.numeric import _power_sums, alpha_grid, alpha_matrix_float
+from alphapoly.polynomials import ALPHA_L, LAM
 from alphapoly import operations as ops
 from conftest import fam
 
@@ -125,6 +125,21 @@ def test_roots_match_over_corpus():
     for _ in range(6):
         g = random_graph(rng.randrange(2, 8), rng)
         assert roots_match(charpoly_direct(g), g, small_grid).passed
+
+
+def test_roots_match_vanishing_leading_coefficient():
+    k3 = fam("complete", 3)
+    report = roots_match(ALPHA_L * LAM ** 3 + LAM ** 2 - 1, k3, [0, 1])
+    assert report.status == "fail" and report.witness == float("inf")
+
+
+def test_power_sums_are_exact():
+    # (l - 1/2)(l - 1/3)(l + 2): the denominators must be cleared
+    roots = [Fraction(1, 2), Fraction(1, 3), Fraction(-2)]
+    p = (LAM - roots[0]) * (LAM - roots[1]) * (LAM - roots[2])
+    coeffs = [c.constant_value() for c in p.coeffs]
+    assert _power_sums(coeffs) == [float(sum(r ** k for r in roots))
+                                   for k in range(4)]
 
 
 def test_alpha_grid_shape():

@@ -28,12 +28,7 @@ from fractions import Fraction
 
 from . import corpus
 from . import operations as ops
-from .closedforms import (
-    THEOREM_IDS,
-    cf_family_spectrum,
-    cf_submatrix_spectrum,
-    verify_identity,
-)
+from .closedforms import IDENTITIES, HypothesisNotMet, verify_identity
 from .engine import charpoly_direct
 from .graphs import (
     EdgeListError,
@@ -137,81 +132,50 @@ def _emit(out, text: str):
         out.write("\n")
 
 
-def _verify_args(identity: str, g: Graph, spec: FamilySpec | None, at: str | None):
-    """Per-identity argument convention for the single-graph CLI surface."""
-    if identity in ("family-spectrum", "submatrix-spectrum"):
-        if spec is None:
-            raise CliError(f"{identity} needs a family graph source", EX_USAGE)
-        if identity == "family-spectrum":
-            return (spec,)
-        return (spec, at) if at else (spec,)
-    if identity == "coalescence":
-        u, v = (int(x) for x in at.split(",")) if at else (0, 0)
-        return (g, u, g, v)
-    if identity == "pendant-one":
-        v, s = (int(x) for x in at.split(",")) if at else (0, 1)
-        return (g, v, s)
-    if identity == "pendant-many":
-        targets = tuple(int(x) for x in at.split(",")) if at else tuple(range(g.n))
-        return (g, targets)
-    return (g,)
+def _identity(identity: str, args, g: Graph, spec: FamilySpec | None):
+    """The table record of `identity` and its arguments for the CLI graph;
+    `spec` describes `g` only when no --op changed it."""
+    record = IDENTITIES.get(identity)
+    if record is None:
+        raise CliError(f"unknown theorem id {identity!r}", EX_USAGE)
+    return record, _usage_errors(record.parse_at, g, None if args.op else spec,
+                                 args.at)
+
+
+def _usage_errors(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the errors that identity arguments from the
+    command line can raise turned into usage errors."""
+    try:
+        return fn(*args, **kwargs)
+    except HypothesisNotMet as exc:
+        raise CliError(f"hypothesis not met: {exc}", EX_USAGE) from None
+    except ValueError as exc:  # GraphParameterError or an unparsable --at
+        raise CliError(f"bad --at argument: {exc}", EX_USAGE) from None
 
 
 def _run_verify(args, out) -> int:
     g, spec = _load_graph(args.graph)
     g = _apply_ops(g, args.op or [])
-    identity = args.theorem
-    if identity not in THEOREM_IDS:
-        raise CliError(f"unknown theorem id {identity!r}", EX_USAGE)
+    record, vargs = _identity(args.theorem, args, g, spec)
+    if args.numeric and record.graph is None:
+        raise CliError(f"no numeric referee for {args.theorem}", EX_USAGE)
     label = args.graph if not args.op else None
-    try:
-        vargs = _verify_args(identity, g, spec, args.at)
-    except (ValueError, GraphParameterError) as exc:
-        raise CliError(f"bad --at argument: {exc}", EX_USAGE) from None
-    report = verify_identity(identity, *vargs, label=label)
+    report = _usage_errors(verify_identity, args.theorem, *vargs, label=label)
     for line in report.lines():
         _emit(out, line)
     if report.status == PASS and args.numeric:
-        alphas = _alpha_list(args)
-        target = _transformed_graph(identity, g, spec, vargs)
-        if target is not None:
-            from .closedforms import _paths  # formula poly for the numeric referee
-            poly = _paths(identity, vargs)[0]
-            numeric_report = roots_match(poly, target, alphas, args.tol,
-                                         label=label or g.describe())
-            for line in numeric_report.lines():
-                _emit(out, line)
-            if numeric_report.status != PASS:
-                return 1
+        numeric_report = roots_match(record.formula(*vargs), record.graph(*vargs),
+                                     _alpha_list(args), args.tol,
+                                     label=label or g.describe())
+        for line in numeric_report.lines():
+            _emit(out, line)
+        if numeric_report.status != PASS:
+            return 1
     if report.status == PASS:
         return 0
     if report.status == HYPOTHESIS_NOT_MET:
         return 2
     return 1
-
-
-def _transformed_graph(identity, g, spec, vargs):
-    if identity in ("line-regular-aalpha", "line-regular-a", "line-semiregular"):
-        return ops.line_graph(g)
-    if identity.startswith("subdivision"):
-        return ops.subdivision(g)
-    if identity.startswith("rgraph"):
-        return ops.r_graph(g)
-    if identity.startswith("qgraph"):
-        return ops.q_graph(g)
-    if identity.startswith("total"):
-        return ops.total_graph(g)
-    if identity == "complement-regular":
-        return ops.complement(g)
-    if identity == "coalescence":
-        return ops.coalesce(ops.CoalescenceSpec(vargs[0], vargs[2], vargs[1], vargs[3]))
-    if identity == "pendant-one":
-        return ops.add_pendants_at(vargs[0], vargs[1], vargs[2])
-    if identity == "pendant-many":
-        return ops.attach_pendants(vargs[0], vargs[1])
-    if identity == "family-spectrum" and spec is not None:
-        return family_generate(spec)
-    return None
 
 
 def _alpha_list(args) -> list[Fraction]:
@@ -342,24 +306,8 @@ def _dispatch(args, out) -> int:
         if method == "direct":
             poly = charpoly_direct(g)
         elif method.startswith("formula:"):
-            identity = method.split(":", 1)[1]
-            if identity not in THEOREM_IDS:
-                raise CliError(f"unknown theorem id {identity!r}", EX_USAGE)
-            if identity == "family-spectrum":
-                if spec is None:
-                    raise CliError("family-spectrum needs a family source", EX_USAGE)
-                poly = cf_family_spectrum(spec).expand()
-            elif identity == "submatrix-spectrum":
-                if spec is None:
-                    raise CliError("submatrix-spectrum needs a family source", EX_USAGE)
-                poly = cf_submatrix_spectrum(spec, args.at).expand()
-            else:
-                from .closedforms import _paths, HypothesisNotMet
-                try:
-                    vargs = _verify_args(identity, g, spec, args.at)
-                    poly = _paths(identity, vargs)[0]
-                except HypothesisNotMet as exc:
-                    raise CliError(f"hypothesis not met: {exc}", EX_USAGE) from None
+            record, vargs = _identity(method.split(":", 1)[1], args, g, spec)
+            poly = _usage_errors(record.formula, *vargs)
         else:
             raise CliError(f"unknown method {method!r}", EX_USAGE)
         _emit(out, format_bipoly(poly))

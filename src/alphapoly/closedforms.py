@@ -7,6 +7,12 @@ builds the transformed graph.  `verify_identity` pits each closed form
 against the direct path on the constructed graph and reports exact
 polynomial equality.
 
+The identity table `IDENTITIES`, at the end of this module, holds one
+`Identity` record per theorem id: its formula side, its direct side, the
+graph the numeric referee checks, its report label and its command line
+`--at` parser.  `THEOREM_IDS` is the table's keys; `verify_identity` and
+every identity command of the CLI dispatch through the record.
+
 Negative prefactor exponents (trees in the subdivision and Q identities,
 star-like inputs of the semi-regular line identity) are resolved by exact
 division.  A division that fails to be exact is a falsification signal and
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .engine import (
     PolyMatrix,
@@ -449,104 +456,139 @@ def cf_total(g: Graph, variant: str = "aalpha") -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# identity registry and the exact referee
+# the identity table and the exact referee
 # ---------------------------------------------------------------------------
 
-THEOREM_IDS = (
-    "family-spectrum",
-    "submatrix-spectrum",
-    "complement-regular",
-    "pendant-one",
-    "pendant-many",
-    "coalescence",
-    "line-regular-aalpha",
-    "line-regular-a",
-    "line-semiregular",
-    "subdivision-aalpha",
-    "subdivision-a",
-    "rgraph-aalpha",
-    "rgraph-a",
-    "qgraph-line",
-    "qgraph-aalpha",
-    "qgraph-a",
-    "total-aalpha",
-    "total-a",
-    "classical-line-semiregular",
-)
+class Identity(NamedTuple):
+    """Everything known about one identity.
+
+    `formula`, `direct`, `graph` and `describe` take the positional arguments
+    of `verify_identity`.  `graph` builds the transformed graph whose
+    spectrum the numeric referee compares with the formula polynomial; it is
+    None where no graph has that polynomial as its charpoly.  `parse_at`
+    turns the single-graph command line input (graph, its family spec or
+    None, the `--at` text or None) into those arguments.
+
+    The functions look formula functions and graph operations up by their
+    module-level names at call time, so replacing a module attribute (as a
+    tracer does) reaches every call.
+    """
+
+    formula: Callable[..., BiPoly]
+    direct: Callable[..., BiPoly]
+    graph: Callable[..., Graph] | None
+    describe: Callable[..., str]
+    parse_at: Callable[[Graph, FamilySpec | None, str | None], tuple]
 
 
-def _paths(identity: str, args: tuple):
-    """(formula poly, direct poly, description) for one identity instance."""
-    if identity == "family-spectrum":
-        (spec,) = args
-        if spec.kind not in ("complete", "complete_bipartite", "star"):
-            raise HypothesisNotMet(f"no spectrum closed form for {spec.kind}")
-        return (cf_family_spectrum(spec).expand(),
-                charpoly_direct(family_generate(spec)), str(spec))
-    if identity == "submatrix-spectrum":
-        spec, side = args if len(args) == 2 else (args[0], None)
-        if spec.kind not in ("complete", "complete_bipartite", "star"):
-            raise HypothesisNotMet(f"no submatrix closed form for {spec.kind}")
-        vertex = submatrix_removal_vertex(spec, side)
-        return (cf_submatrix_spectrum(spec, side).expand(),
-                charpoly_submatrix(family_generate(spec), vertex),
-                f"{spec} minus vertex {vertex}")
-    if identity == "complement-regular":
-        (g,) = args
-        return (cf_complement_regular(g),
-                charpoly_direct(ops.complement(g)), g.describe())
-    if identity == "pendant-one":
-        g, v, s = args
-        return (cf_pendant_one(g, v, s),
-                charpoly_direct(ops.add_pendants_at(g, v, s)),
-                f"{g.describe()};{s} pendants at {v}")
-    if identity == "pendant-many":
-        g, targets = args
-        targets = tuple(targets)
-        return (cf_pendant_many(g, targets),
-                charpoly_direct(ops.attach_pendants(g, targets)),
-                f"{g.describe()};pendants at {','.join(map(str, targets))}")
-    if identity == "coalescence":
-        g, u, h, v = args
-        return (cf_coalescence(g, u, h, v),
-                charpoly_direct(ops.coalesce(ops.CoalescenceSpec(g, h, u, v))),
-                f"({g.describe()})@{u} . ({h.describe()})@{v}")
-    (g,) = args
-    if identity in ("line-regular-aalpha", "line-regular-a"):
-        variant = identity.rsplit("-", 1)[1]
-        return (cf_line_regular(g, variant),
-                charpoly_direct(ops.line_graph(g)), g.describe())
-    if identity == "line-semiregular":
-        return (cf_line_semiregular(g),
-                charpoly_direct(ops.line_graph(g)), g.describe())
-    if identity == "classical-line-semiregular":
-        return (classical_line_semiregular(g),
-                eval_alpha(charpoly_direct(ops.line_graph(g)), 0), g.describe())
-    if identity in ("subdivision-aalpha", "subdivision-a"):
-        variant = identity.rsplit("-", 1)[1]
-        return (cf_subdivision(g, variant),
-                charpoly_direct(ops.subdivision(g)), g.describe())
-    if identity in ("rgraph-aalpha", "rgraph-a"):
-        variant = identity.rsplit("-", 1)[1]
-        return (cf_rgraph(g, variant),
-                charpoly_direct(ops.r_graph(g)), g.describe())
-    if identity in ("qgraph-line", "qgraph-aalpha", "qgraph-a"):
-        variant = identity.rsplit("-", 1)[1]
-        return (cf_qgraph(g, variant),
-                charpoly_direct(ops.q_graph(g)), g.describe())
-    if identity in ("total-aalpha", "total-a"):
-        variant = identity.rsplit("-", 1)[1]
-        return (cf_total(g, variant),
-                charpoly_direct(ops.total_graph(g)), g.describe())
-    raise ValueError(f"unknown identity {identity!r}")
+def _spectrum_family(spec: FamilySpec, what: str) -> FamilySpec:
+    if spec.kind not in ("complete", "complete_bipartite", "star"):
+        raise HypothesisNotMet(f"no {what} closed form for {spec.kind}")
+    return spec
+
+
+def _family_source(spec: FamilySpec | None) -> FamilySpec:
+    if spec is None:
+        raise HypothesisNotMet("needs a family graph source and no --op")
+    return spec
+
+
+def _ints(at: str | None, default: tuple) -> tuple:
+    return tuple(int(x) for x in at.split(",")) if at else default
+
+
+def _at_graph(g, spec, at):
+    return (g,)
+
+
+def _at_coalescence(g, spec, at):
+    u, v = _ints(at, (0, 0))
+    return (g, u, g, v)
+
+
+def _at_pendant_one(g, spec, at):
+    v, s = _ints(at, (0, 1))
+    return (g, v, s)
+
+
+def _on_graph(formula, build, describe=Graph.describe, parse_at=_at_graph):
+    """An identity whose direct side is the charpoly of the graph `build`
+    makes, which the numeric referee checks too."""
+    return Identity(formula, lambda *args: charpoly_direct(build(*args)),
+                    build, describe, parse_at)
+
+
+IDENTITIES: dict[str, Identity] = {
+    "family-spectrum": _on_graph(
+        lambda spec: cf_family_spectrum(_spectrum_family(spec, "spectrum")).expand(),
+        family_generate, str, lambda g, spec, at: (_family_source(spec),)),
+    "submatrix-spectrum": Identity(
+        lambda spec, side=None: cf_submatrix_spectrum(
+            _spectrum_family(spec, "submatrix"), side).expand(),
+        lambda spec, side=None: charpoly_submatrix(
+            family_generate(spec), submatrix_removal_vertex(spec, side)),
+        None,
+        lambda spec, side=None:
+            f"{spec} minus vertex {submatrix_removal_vertex(spec, side)}",
+        lambda g, spec, at: (_family_source(spec), at)),
+    "complement-regular": _on_graph(
+        lambda g: cf_complement_regular(g), lambda g: ops.complement(g)),
+    "pendant-one": _on_graph(
+        lambda g, v, s: cf_pendant_one(g, v, s),
+        lambda g, v, s: ops.add_pendants_at(g, v, s),
+        lambda g, v, s: f"{g.describe()};{s} pendants at {v}", _at_pendant_one),
+    "pendant-many": _on_graph(
+        lambda g, targets: cf_pendant_many(g, targets),
+        lambda g, targets: ops.attach_pendants(g, targets),
+        lambda g, targets:
+            f"{g.describe()};pendants at {','.join(map(str, targets))}",
+        lambda g, spec, at: (g, _ints(at, tuple(range(g.n))))),
+    "coalescence": _on_graph(
+        lambda g, u, h, v: cf_coalescence(g, u, h, v),
+        lambda g, u, h, v: ops.coalesce(ops.CoalescenceSpec(g, h, u, v)),
+        lambda g, u, h, v: f"({g.describe()})@{u} . ({h.describe()})@{v}",
+        _at_coalescence),
+    "line-regular-aalpha": _on_graph(
+        lambda g: cf_line_regular(g, "aalpha"), lambda g: ops.line_graph(g)),
+    "line-regular-a": _on_graph(
+        lambda g: cf_line_regular(g, "a"), lambda g: ops.line_graph(g)),
+    "line-semiregular": _on_graph(
+        lambda g: cf_line_semiregular(g), lambda g: ops.line_graph(g)),
+    "subdivision-aalpha": _on_graph(
+        lambda g: cf_subdivision(g, "aalpha"), lambda g: ops.subdivision(g)),
+    "subdivision-a": _on_graph(
+        lambda g: cf_subdivision(g, "a"), lambda g: ops.subdivision(g)),
+    "rgraph-aalpha": _on_graph(
+        lambda g: cf_rgraph(g, "aalpha"), lambda g: ops.r_graph(g)),
+    "rgraph-a": _on_graph(
+        lambda g: cf_rgraph(g, "a"), lambda g: ops.r_graph(g)),
+    "qgraph-line": _on_graph(
+        lambda g: cf_qgraph(g, "line"), lambda g: ops.q_graph(g)),
+    "qgraph-aalpha": _on_graph(
+        lambda g: cf_qgraph(g, "aalpha"), lambda g: ops.q_graph(g)),
+    "qgraph-a": _on_graph(
+        lambda g: cf_qgraph(g, "a"), lambda g: ops.q_graph(g)),
+    "total-aalpha": _on_graph(
+        lambda g: cf_total(g, "aalpha"), lambda g: ops.total_graph(g)),
+    "total-a": _on_graph(
+        lambda g: cf_total(g, "a"), lambda g: ops.total_graph(g)),
+    # the weight-0 polynomial is not the charpoly of any graph at other weights
+    "classical-line-semiregular": Identity(
+        lambda g: classical_line_semiregular(g),
+        lambda g: eval_alpha(charpoly_direct(ops.line_graph(g)), 0),
+        None, Graph.describe, _at_graph),
+}
+
+THEOREM_IDS = tuple(IDENTITIES)
 
 
 def verify_identity(identity: str, *args, label: str | None = None) -> VerdictReport:
     """Run formula path against direct path; all failures are report data."""
-    if identity not in THEOREM_IDS:
+    if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
+    record = IDENTITIES[identity]
     try:
-        formula, direct, desc = _paths(identity, args)
+        formula, direct = record.formula(*args), record.direct(*args)
     except HypothesisNotMet as exc:
         return VerdictReport(identity, label or _describe_args(args), "exact",
                              HYPOTHESIS_NOT_MET, None, str(exc))
@@ -555,18 +597,11 @@ def verify_identity(identity: str, *args, label: str | None = None) -> VerdictRe
         return VerdictReport(identity, label or _describe_args(args), "exact",
                              FAIL, witness, f"non-exact cancellation: {exc}")
     diff = formula - direct
+    label = label or record.describe(*args)
     if diff:
-        return VerdictReport(identity, label or desc, "exact", FAIL, diff)
-    return VerdictReport(identity, label or desc, "exact", PASS)
+        return VerdictReport(identity, label, "exact", FAIL, diff)
+    return VerdictReport(identity, label, "exact", PASS)
 
 
 def _describe_args(args: tuple) -> str:
-    parts = []
-    for a in args:
-        if isinstance(a, Graph):
-            parts.append(a.describe())
-        elif isinstance(a, FamilySpec):
-            parts.append(str(a))
-        else:
-            parts.append(str(a))
-    return ";".join(parts)
+    return ";".join(a.describe() if isinstance(a, Graph) else str(a) for a in args)

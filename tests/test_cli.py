@@ -1,15 +1,22 @@
 """Command line behaviour: output formats, pipelines and exit codes."""
 
 import io
+import re
+from pathlib import Path
+
+import pytest
 
 from alphapoly import (
+    THEOREM_IDS,
     FamilySpec,
     cf_family_spectrum,
     charpoly_direct,
     family_generate,
+    format_bipoly,
     parse_bipoly,
 )
 from alphapoly.cli import run
+from alphapoly.closedforms import IDENTITIES
 from alphapoly import operations as ops
 from conftest import fam
 
@@ -152,3 +159,104 @@ def test_suite_passes():
     code, text = run_cli("suite")
     assert code == 0
     assert "failed=0" in text
+
+
+# one canonical passing input per identity: (graph source, --at or None)
+CANONICAL = {
+    "family-spectrum": ("complete_bipartite:2,3", None),
+    "submatrix-spectrum": ("star:5", "leaf"),
+    "complement-regular": ("cycle:5", None),
+    "pendant-one": ("complete:4", "1,2"),
+    "pendant-many": ("cycle:5", "0,2"),
+    "coalescence": ("star:4", "1,1"),
+    "line-regular-aalpha": ("complete:5", None),
+    "line-regular-a": ("complete:4", None),
+    "line-semiregular": ("complete_bipartite:2,3", None),
+    "subdivision-aalpha": ("complete:4", None),
+    "subdivision-a": ("cycle:5", None),
+    "rgraph-aalpha": ("complete:4", None),
+    "rgraph-a": ("cycle:4", None),
+    "qgraph-line": ("complete:4", None),
+    "qgraph-aalpha": ("complete:4", None),
+    "qgraph-a": ("cycle:5", None),
+    "total-aalpha": ("complete:4", None),
+    "total-a": ("cycle:4", None),
+    "classical-line-semiregular": ("complete_bipartite:2,3", None),
+}
+
+
+def identity_argv(command, theorem, graph, at=None, *extra):
+    argv = ["--graph", graph, *(["--at", at] if at else []), *extra]
+    if command == "verify":
+        return ("verify", "--theorem", theorem, *argv)
+    return ("charpoly", "--method", f"formula:{theorem}", *argv)
+
+
+@pytest.mark.parametrize("identity", THEOREM_IDS)
+def test_every_identity_verifies_and_prints_its_formula(identity):
+    graph, at = CANONICAL[identity]
+    code, text = run_cli(*identity_argv("verify", identity, graph, at))
+    assert code == 0 and "status=pass" in text, text
+    spec = FamilySpec.parse(graph)
+    record = IDENTITIES[identity]
+    expected = record.formula(*record.parse_at(family_generate(spec), spec, at))
+    code, text = run_cli(*identity_argv("charpoly", identity, graph, at))
+    assert code == 0
+    assert text == format_bipoly(expected) + "\n"
+
+
+@pytest.mark.parametrize("identity", THEOREM_IDS)
+def test_every_identity_numeric_referee(identity, capsys):
+    graph, at = CANONICAL[identity]
+    code, text = run_cli(*identity_argv("verify", identity, graph, at, "--numeric"))
+    if IDENTITIES[identity].graph is None:
+        assert code == 64 and text == ""
+        assert f"no numeric referee for {identity}" in capsys.readouterr().err
+    else:
+        assert code == 0 and text.count("status=pass") == 2, text
+
+
+def test_formula_method_computes_only_the_formula_side():
+    charpoly_direct.cache_clear()
+    code, _ = run_cli("charpoly", "--graph", "complete:5",
+                      "--method", "formula:line-regular-aalpha")
+    assert code == 0
+    assert charpoly_direct.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("command", ("verify", "charpoly"))
+@pytest.mark.parametrize("theorem, graph, at", (
+    ("coalescence", "star:4", "9,9"),
+    ("coalescence", "star:4", "1,2,3"),
+    ("pendant-one", "complete:4", "0,0"),
+    ("pendant-many", "complete:4", "0,0"),
+    ("submatrix-spectrum", "star:4", "bogus"),
+))
+def test_bad_at_argument_is_usage_error(command, theorem, graph, at, capsys):
+    code, text = run_cli(*identity_argv(command, theorem, graph, at))
+    assert code == 64 and text == ""
+    assert "bad --at argument" in capsys.readouterr().err
+
+
+def test_formula_method_hypothesis_not_met(capsys):
+    # verify reports it in a verdict; charpoly has no verdict to print
+    code, text = run_cli(*identity_argv("verify", "family-spectrum", "path:3"))
+    assert code == 2 and "status=hypothesis-not-met" in text
+    code, text = run_cli(*identity_argv("charpoly", "family-spectrum", "path:3"))
+    assert code == 64 and text == ""
+    assert "hypothesis not met" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("verify", "charpoly"))
+@pytest.mark.parametrize("theorem", ("family-spectrum", "submatrix-spectrum"))
+def test_spectrum_identities_reject_op(command, theorem, capsys):
+    code, text = run_cli(*identity_argv(command, theorem, "complete:4", None,
+                                        "--op", "line"))
+    assert code == 64 and text == ""
+    assert "no --op" in capsys.readouterr().err
+
+
+def test_readme_lists_the_theorem_ids():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` +\|", readme, re.MULTILINE)
+    assert tuple(rows) == THEOREM_IDS

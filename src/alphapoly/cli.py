@@ -164,7 +164,7 @@ def _run_verify(args, out) -> int:
     for line in report.lines():
         _emit(out, line)
     if report.status == PASS and args.numeric:
-        numeric_report = roots_match(record.formula(*vargs), record.graph(*vargs),
+        numeric_report = roots_match(report.formula, record.graph(*vargs),
                                      _alpha_list(args), args.tol,
                                      label=label or g.describe())
         for line in numeric_report.lines():

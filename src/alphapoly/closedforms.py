@@ -185,13 +185,20 @@ def cf_submatrix_spectrum(spec: FamilySpec, remove_from: str | None = None) -> F
 
 
 def submatrix_removal_vertex(spec: FamilySpec, remove_from: str | None = None) -> int:
-    """Vertex index matching the removal side under the family labelings."""
+    """Vertex index matching the removal side under the family labelings;
+    rejects the sides `cf_submatrix_spectrum` rejects, with its messages."""
     if spec.kind == "complete":
         return 0
     if spec.kind == "star":
-        return 0 if (remove_from or "center") == "center" else 1
+        side = remove_from or "center"
+        if side not in ("center", "leaf"):
+            raise GraphParameterError(f"bad removal side {side!r} for a star")
+        return 0 if side == "center" else 1
     if spec.kind == "complete_bipartite":
-        return 0 if (remove_from or "first") == "first" else spec.params[0]
+        side = remove_from or "first"
+        if side not in ("first", "second"):
+            raise GraphParameterError(f"bad removal side {side!r}")
+        return 0 if side == "first" else spec.params[0]
     raise GraphParameterError(f"no removal convention for {spec.kind!r}")
 
 
@@ -599,8 +606,10 @@ def verify_identity(identity: str, *args, label: str | None = None) -> VerdictRe
     diff = formula - direct
     label = label or record.describe(*args)
     if diff:
-        return VerdictReport(identity, label, "exact", FAIL, diff)
-    return VerdictReport(identity, label, "exact", PASS)
+        return VerdictReport(identity, label, "exact", FAIL, diff, formula=formula)
+    # equal to the formula side; the direct side is usually a cached object
+    # already, so a batch that keeps its reports keeps no second copy
+    return VerdictReport(identity, label, "exact", PASS, formula=direct)
 
 
 def _describe_args(args: tuple) -> str:

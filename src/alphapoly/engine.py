@@ -12,14 +12,17 @@ same kernel for its isomorphism invariant.
 
 `polymatrix_det` is the independent second algorithm: fraction-free Bareiss
 elimination over Q[a][l].  For integer-coefficient matrices it can also run
-Bareiss on packed Z[a] values at interpolation points of `l`, which is what
-makes the matrix-quadratic determinants of the total-graph identity cheap;
-both strategies are exact and cross-checked in the test suite.
+Bareiss on packed Z[a] values at the points l = 0..d, d a bound on the
+l-degree, and recover the determinant by Newton interpolation over Z (the
+divided differences of an integer polynomial at consecutive integers are
+integers, so every division is exact), which is what makes the
+matrix-quadratic determinants of the total-graph identity cheap; both
+strategies are exact and cross-checked in the test suite.  The packing
+helpers `_pack`/`_unpack` are those of `polynomials`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -31,36 +34,15 @@ from .polynomials import (
     AlphaPoly,
     BiPoly,
     DivisibilityError,
+    _pack,
+    _unpack,
     exact_divide,
 )
 
 
 # ---------------------------------------------------------------------------
-# packed Z[a] helpers
+# packed trace recurrence
 # ---------------------------------------------------------------------------
-
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = (out << width) + c
-    return out
-
-
-def _unpack(x: int, width: int, count: int) -> list[int]:
-    base = 1 << width
-    half = base >> 1
-    mask = base - 1
-    out = []
-    for _ in range(count):
-        digit = x & mask
-        if digit >= half:
-            digit -= base
-        out.append(digit)
-        x = (x - digit) >> width
-    if x != 0:
-        raise OverflowError("packed coefficient overflow; width bound violated")
-    return out
-
 
 def _fl_coefficients(diag: Sequence[int], nbrs: Sequence[Iterable[int]],
                      width: int) -> list[int]:
@@ -316,33 +298,29 @@ def _bareiss_int(rows: list[list[int]]) -> int:
 
 def _int_coeff_matrix(mat: PolyMatrix):
     """Entries as nested int coefficient lists, or None if not integral."""
-    out = []
-    for row in mat.rows:
-        orow = []
-        for e in row:
-            ce = []
-            for ap in e.coeffs:
-                cs = []
-                for c in ap.coeffs:
-                    if c.denominator != 1:
-                        return None
-                    cs.append(c.numerator)
-                ce.append(cs)
-            orow.append(ce)
-        out.append(orow)
-    return out
+    if any(type(c) is not int for row in mat.rows for e in row
+           for ap in e.coeffs for c in ap.coeffs):
+        return None
+    return [[[ap.coeffs for ap in e.coeffs] for e in row] for row in mat.rows]
 
 
 def _det_interpolated(mat: PolyMatrix, ints) -> BiPoly:
-    n = mat.size
-    ldeg = sum(max((e.degree for e in row), default=0) for row in mat.rows)
-    ldeg = max(ldeg, 0)
-    adeg = sum(max((e.alpha_degree() for e in row), default=0) for row in mat.rows)
-    adeg = max(adeg, 0)
-    digits = adeg + 1
-    points = list(range(ldeg + 1))
+    """det(mat) from packed integer Bareiss determinants at l = 0..d, d a
+    bound on its l-degree, by Newton interpolation over Z.
+
+    With f the determinant, the Newton coefficient of (l)(l-1)...(l-k+1) is
+    the divided difference f[0..k] = Delta^k f(0)/k!.  Every divided
+    difference f[j..j+k] = (f[j+1..j+k] - f[j..j+k-1])/k is Delta^k f(j)/k!,
+    an integer because f has integer coefficients (l^i is an integer
+    combination of the binomials k!*C(l, k)); so each division by k is an
+    exact integer division, coefficient by coefficient in `a`.  Horner in
+    (l - t) then expands the Newton form.
+    """
+    # a zero row (degree -1) must not lower the bounds the other rows need
+    ldeg = sum(max(0, *(e.degree for e in row)) for row in mat.rows)
+    digits = sum(max(0, *(e.alpha_degree() for e in row)) for row in mat.rows) + 1
     values = []
-    for t in points:
+    for t in range(ldeg + 1):
         # evaluate each entry at l = t, keeping Z[a] coefficient lists
         evals = []
         bound = 1
@@ -362,19 +340,21 @@ def _det_interpolated(mat: PolyMatrix, ints) -> BiPoly:
             bound *= max(rowsum, 1)
         width = bound.bit_length() + 2
         packed = [[_pack(e, width) for e in row] for row in evals]
-        values.append(AlphaPoly(_unpack(_bareiss_int(packed), width, digits)))
-    # Lagrange reconstruction over Q
-    result = BiPoly.zero()
-    for i, t in enumerate(points):
-        basis = BiPoly.one()
-        denom = Fraction(1)
-        for j, s in enumerate(points):
-            if i == j:
-                continue
-            basis = basis * BiPoly((AlphaPoly((-s,)), ALPHA_ONE))
-            denom *= t - s
-        result = result + basis * (values[i] * AlphaPoly((Fraction(1, 1) / denom,)))
-    return result
+        values.append(_unpack(_bareiss_int(packed), width, digits))
+    for k in range(1, ldeg + 1):
+        for j in range(ldeg, k - 1, -1):
+            diffs = [x - y for x, y in zip(values[j], values[j - 1])]
+            if any(x % k for x in diffs):
+                raise ArithmeticError("divided difference not integral")
+            values[j] = [x // k for x in diffs]
+    # Horner: acc = acc*(l - t) + c_t from t = d down to 0
+    acc = [values[ldeg]]
+    for t in range(ldeg - 1, -1, -1):
+        shifted = [values[t]] + acc
+        for j, row in enumerate(acc):
+            shifted[j] = [x - t * y for x, y in zip(shifted[j], row)]
+        acc = shifted
+    return BiPoly(AlphaPoly(row) for row in acc)
 
 
 def polymatrix_det(mat: PolyMatrix, method: str = "auto") -> BiPoly:

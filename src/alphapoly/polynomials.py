@@ -1,11 +1,26 @@
-"""Exact arithmetic in Q[a] and Q[a][l].
+"""Exact arithmetic in Q[a] and Q[a][l], computed over the integers.
 
 The two variables are the mixing weight `a` of the matrix a*D(G) + (1-a)*A(G)
 and the eigenvalue variable `l`.  AlphaPoly is a dense univariate polynomial
-in `a` over Fraction; BiPoly is a dense polynomial in `l` whose coefficients
-are AlphaPoly values.  Values are immutable and kept canonical (no trailing
-zero coefficients, fractions reduced), so `==` is exact structural equality
-and the central test primitive of the whole package.
+in `a` over Q; BiPoly is a dense polynomial in `l` whose coefficients are
+AlphaPoly values.  Values are immutable and kept canonical (no trailing
+zero coefficients, every integral coefficient a plain int, every other one
+a reduced Fraction), so `==` is exact structural equality and the central
+test primitive of the whole package.  An int and the equal Fraction
+compare, hash and print alike, so the storage never shows.
+
+Every closed form and charpoly of the package lies in Z[a][l], so the ring
+works on integers and meets a Fraction only where a value is not integral:
+
+* a product (`_product`, behind both `*` operators, `**` and
+  `substitute_lambda`) packs each operand into one big integer by Kronecker
+  substitution, a = 2^w and l = 2^(w*S) for a fixed stride of S a-slots per
+  l-coefficient, multiplies once and unpacks balanced digits; rational
+  operands have their denominators cleared on entry;
+* `exact_divide` divides the packed integers and checks the quotient by one
+  packed multiply-back; only when the operands are not integral or that
+  check fails does it run l-wise long division over Q[a], the one path that
+  raises DivisibilityError with its remainder witness.
 
 Canonical text form (see `format_bipoly` / `parse_bipoly`)::
 
@@ -19,7 +34,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import chain
+from math import lcm
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -37,17 +54,145 @@ class DivisibilityError(ArithmeticError):
         self.remainder = remainder
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _scalar(x) -> Scalar:
+    """x as a canonical coefficient: an int when integral, else a reduced
+    Fraction."""
+    if type(x) is int:
+        return x
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
+
+# ---------------------------------------------------------------------------
+# packed integer kernel
+# ---------------------------------------------------------------------------
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """The integer coefficients (ascending) evaluated at 2^width."""
+    out = 0
+    for c in reversed(coeffs):
+        out = (out << width) + c
+    return out
+
+
+def _unpack(x: int, width: int, count: int) -> list[int]:
+    """The `count` balanced base-2^width digits of x, ascending, each in
+    [-2^(width-1), 2^(width-1)); OverflowError if x needs more digits."""
+    base = 1 << width
+    half = base >> 1
+    mask = base - 1
+    out = []
+    for _ in range(count):
+        digit = x & mask
+        if digit >= half:
+            digit -= base
+        out.append(digit)
+        x = (x - digit) >> width
+    if x != 0:
+        raise OverflowError("packed coefficient overflow; width bound violated")
+    return out
+
+
+def _int_rows(rows: Sequence["AlphaPoly"]):
+    """(integer coefficient rows, d): the rows times their least common
+    denominator d."""
+    den = 1
+    for r in rows:
+        for c in r.coeffs:
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+    if den == 1:
+        return [r.coeffs for r in rows], 1
+    return [[int(c * den) for c in r.coeffs] for r in rows], den
+
+
+def _pack_rows(rows, width: int, stride: int) -> int:
+    """Rows of a-coefficients (ascending in l) evaluated at a = 2^width,
+    l = 2^(width*stride)."""
+    return _pack([_pack(r, width) for r in rows], width * stride)
+
+
+def _product(ps: Sequence["AlphaPoly"], qs: Sequence["AlphaPoly"]) -> list["AlphaPoly"]:
+    """The l-coefficients of the product of two polynomials in l, each given
+    by its l-coefficients (ascending, the last one nonzero).
+
+    Kronecker substitution: with s, t the operands' a-lengths, pack both at
+    a = 2^w with stride S = s + t - 1, i.e. at l = 2^(w*S), multiply the two
+    integers and unpack S balanced digits per l-coefficient.
+
+    Width: let P, Q bound the absolute values of the operands' (integer)
+    coefficients and u, v be their l-lengths.  The coefficient of a^i l^j
+    of the product is a sum of p_(i1,j1)*q_(i2,j2) over i1 + i2 = i and
+    j1 + j2 = j, at most min(s, t) choices of i1 times min(u, v) of j1, so
+    its absolute value is at most B = P*Q*min(s, t)*min(u, v) < 2^(w-2) for
+    w = bits(B) + 2.  Its a-degree is below S, so the coefficients own
+    disjoint slots and are the balanced base-2^w digits of the product.
+    `_unpack` reads them in two levels: first the l-coefficients at width
+    w*S, each sum_(i<S) c_i 2^(w*i) of absolute value
+    < 2^(w-2) * 2^(w*(S-1)) * 2^w/(2^w - 1) <= 2^(w*S-1), hence a balanced
+    digit too; then the S a-slots of each.  Packing is a ring homomorphism,
+    so the integer product is exactly the packed polynomial product.
+    Rational operands are scaled to integers by their common denominators
+    first, which the result is divided by.
+    """
+    (pr, pden), (qr, qden) = _int_rows(ps), _int_rows(qs)
+    s, t = max(map(len, pr)), max(map(len, qr))
+    stride = s + t - 1
+    bound = (max(map(abs, chain.from_iterable(pr)))
+             * max(map(abs, chain.from_iterable(qr)))
+             * min(s, t) * min(len(pr), len(qr)))
+    width = bound.bit_length() + 2
+    x = _pack_rows(pr, width, stride) * _pack_rows(qr, width, stride)
+    rows = [_unpack(r, width, stride)
+            for r in _unpack(x, width * stride, len(pr) + len(qr) - 1)]
+    den = pden * qden
+    if den == 1:
+        return [AlphaPoly(r) for r in rows]
+    return [AlphaPoly(Fraction(c, den) for c in r) for r in rows]
+
+
+def _packed_quotient(ps: Sequence["AlphaPoly"], qs: Sequence["AlphaPoly"]):
+    """The l-coefficients of the exact quotient of two integer polynomials
+    in l (given as in `_product`), or None when it is not found this way.
+
+    Both operands are packed at a = 2^w, l = 2^(w*s), s the dividend's
+    a-length.  An exact quotient packs to the integer quotient (packing is a
+    ring homomorphism), so a remainder means there is none.  Its digits are
+    the quotient's coefficients only if these fit the width, and w, the
+    bits of the dividend's largest coefficient plus 2, is a guess; so the
+    candidate is multiplied back with `_product` and compared with the
+    dividend, which makes the result exact whatever the guess.
+    """
+    (pr, pden), (qr, qden) = _int_rows(ps), _int_rows(qs)
+    s, t = max(map(len, pr)), max(map(len, qr))
+    if pden != 1 or qden != 1 or len(qr) > len(pr) or t > s:
+        return None
+    width = max(map(abs, chain.from_iterable(pr))).bit_length() + 2
+    x, r = divmod(_pack_rows(pr, width, s), _pack_rows(qr, width, s))
+    if r:
+        return None
+    try:
+        quot = [AlphaPoly(_unpack(row, width, s - t + 1))
+                for row in _unpack(x, width * s, len(pr) - len(qr) + 1)]
+    except OverflowError:
+        return None
+    if not quot[-1] or _product(quot, qs) != list(ps):
+        return None
+    return quot
+
+
+# ---------------------------------------------------------------------------
+# the ring
+# ---------------------------------------------------------------------------
 
 class AlphaPoly:
-    """Dense polynomial in the weight variable `a` over Fraction."""
+    """Dense polynomial in the weight variable `a` over Q; integral
+    coefficients are ints."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [c if type(c) is int else _scalar(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -67,7 +212,7 @@ class AlphaPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial has positive degree in a")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.coeffs[0]) if self.coeffs else Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -116,13 +261,7 @@ class AlphaPoly:
             return NotImplemented
         if not self or not other:
             return AlphaPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return AlphaPoly(out)
+        return _product((self,), (other,))[0]
 
     __rmul__ = __mul__
 
@@ -139,7 +278,7 @@ class AlphaPoly:
         return out
 
     def evaluate(self, a):
-        """Horner evaluation; exact for Fraction input."""
+        """Horner evaluation; exact for int and Fraction input."""
         out = a * 0
         for c in reversed(self.coeffs):
             out = out * a + c
@@ -157,9 +296,9 @@ class AlphaPoly:
         lead = other.coeffs[-1]
         if len(rem) - 1 < d:
             raise DivisibilityError("degree of divisor exceeds dividend")
-        q = [Fraction(0)] * (len(rem) - d)
+        q = [0] * (len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lead
+            c = Fraction(rem[i], lead)
             q[i - d] = c
             if c:
                 for j, b in enumerate(other.coeffs):
@@ -279,13 +418,7 @@ class BiPoly:
             return NotImplemented
         if not self or not other:
             return BiPoly()
-        out = [ALPHA_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return BiPoly(out)
+        return BiPoly(_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -334,7 +467,7 @@ def eval_alpha(p: BiPoly, a: Scalar) -> BiPoly:
     The result is a BiPoly whose coefficients are constants, so it can feed
     straight back into the ring operations.
     """
-    a = _frac(a)
+    a = _scalar(a)
     return BiPoly(AlphaPoly((c.evaluate(a),)) for c in p.coeffs)
 
 
@@ -354,25 +487,32 @@ def substitute_lambda(p: BiPoly, num, den=1, clear_power: int | None = None) -> 
         raise ValueError("clear_power must be at least deg(p)")
     if d < 0:
         return BiPoly.zero()
-    # Horner in num with a den multiplied at each step, then den^(clear-d).
+    # Horner in num with one more den multiplied in at each step, then
+    # den^(clear-d).
     out = BiPoly((p.coeffs[d],))
+    den_power = BiPoly.one()
     for k in range(d - 1, -1, -1):
-        out = out * num + BiPoly((p.coeffs[k],)) * den ** (d - k)
+        den_power = den_power * den
+        out = out * num + BiPoly((p.coeffs[k],)) * den_power
     return out * den ** (clear_power - d)
 
 
 def exact_divide(p: BiPoly, q) -> BiPoly:
     """Quotient p/q in Q[a][l] when the remainder is exactly zero.
 
-    Division is l-wise long division; each coefficient step is an exact
-    division in Q[a].  A nonzero remainder raises DivisibilityError carrying
-    the remainder as a witness.
+    Integer operands are divided packed (`_packed_quotient`).  Otherwise,
+    or when that finds no quotient, l-wise long division runs, each
+    coefficient step an exact division in Q[a]; a nonzero remainder raises
+    DivisibilityError carrying the remainder as a witness.
     """
     q = _as_bipoly(q)
     if not q:
         raise ZeroDivisionError("division by zero polynomial")
     if not p:
         return BiPoly.zero()
+    quot = _packed_quotient(p.coeffs, q.coeffs)
+    if quot is not None:
+        return BiPoly(quot)
     if q.degree == 0:
         d0 = q.coeffs[0]
         return BiPoly(c.exact_div(d0) for c in p.coeffs)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .polynomials import BiPoly, format_bipoly
 
@@ -17,7 +17,9 @@ class VerdictReport:
 
     witness is the exact difference polynomial in exact mode, or the largest
     observed deviation in numeric mode; it is present whenever status is
-    "fail".
+    "fail".  formula is the formula-side polynomial of an exact check that
+    computed one (on a pass, the equal direct-side object), kept for a
+    numeric referee; it takes no part in `==`, `repr` or `lines`.
     """
 
     identity: str
@@ -26,6 +28,7 @@ class VerdictReport:
     status: str  # PASS | FAIL | HYPOTHESIS_NOT_MET
     witness: object = None
     detail: str = ""
+    formula: BiPoly | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:

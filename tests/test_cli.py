@@ -92,6 +92,23 @@ def test_verify_numeric_high_order_polynomials_pass():
         assert text.count("status=pass") == 2
 
 
+def test_verify_numeric_computes_formula_side_once(monkeypatch):
+    from alphapoly import closedforms
+    calls = []
+    real = closedforms.cf_coalescence
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(closedforms, "cf_coalescence", counted)
+    code, text = run_cli("verify", "--theorem", "coalescence", "--graph", "star:4",
+                         "--at", "1,1", "--numeric")
+    assert code == 0, text
+    assert text.count("status=pass") == 2
+    assert len(calls) == 1
+
+
 def test_verify_coalescence_with_at():
     code, text = run_cli("verify", "--theorem", "coalescence",
                          "--graph", "star:4", "--at", "1,1")

@@ -39,6 +39,7 @@ from alphapoly import (
     verify_identity,
 )
 from alphapoly.closedforms import submatrix_removal_vertex
+from alphapoly.graphs import GraphParameterError
 from alphapoly.corpus import random_graph, regular_corpus
 from alphapoly.polynomials import ALPHA, DivisibilityError
 from alphapoly import operations as ops
@@ -85,6 +86,19 @@ def test_submatrix_spectrum_bipartite_both_sides(a, b):
         vertex = submatrix_removal_vertex(spec, side)
         assert cf_submatrix_spectrum(spec, side).expand() == \
             charpoly_submatrix(g, vertex)
+
+
+@pytest.mark.parametrize("text,side,message", [
+    ("star:4", "bogus", "bad removal side 'bogus' for a star"),
+    ("complete_bipartite:2,3", "leaf", "bad removal side 'leaf'"),
+])
+def test_submatrix_removal_vertex_rejects_bad_side(text, side, message):
+    # the same error, with the same message, as the closed form itself
+    spec = FamilySpec.parse(text)
+    for fn in (cf_submatrix_spectrum, submatrix_removal_vertex):
+        with pytest.raises(GraphParameterError) as exc:
+            fn(spec, side)
+        assert str(exc.value) == message
 
 
 def test_submatrix_star_leaf_radicand():

@@ -32,6 +32,7 @@ from alphapoly.engine import _fl_coefficients, _fl_width, _pack, _unpack
 from alphapoly.polynomials import ALPHA
 from alphapoly.corpus import random_graph
 from conftest import fam
+import oracles
 
 
 def _det_cofactor(rows):
@@ -287,6 +288,25 @@ def test_interpolated_det_matches_bareiss():
         mat = PolyMatrix(rows)
         assert polymatrix_det(mat, method="interpolate") == \
             polymatrix_det(mat, method="bareiss")
+
+
+@st.composite
+def integer_polymatrices(draw):
+    """Square matrices of Z[a][l] entries; l_len 1 gives l-degree 0."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    l_len = draw(st.integers(min_value=1, max_value=3))
+    coeff = st.integers(min_value=-5, max_value=5)
+    entry = st.lists(st.lists(coeff, max_size=3).map(AlphaPoly),
+                     max_size=l_len).map(BiPoly)
+    return PolyMatrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)))
+
+
+@given(integer_polymatrices())
+@example(PolyMatrix([[0, 0], [BiPoly([AlphaPoly([1, 2, 3])]), 1]]))  # zero row
+@settings(max_examples=80, deadline=None)
+def test_newton_interpolation_matches_lagrange_oracle(mat):
+    assert polymatrix_det(mat, method="interpolate") == oracles.lagrange_det(mat)
 
 
 def test_quotient_matrix_star():

@@ -19,8 +19,10 @@ from alphapoly.polynomials import (
     exact_divide,
     format_bipoly,
     parse_bipoly,
+    _packed_quotient,
     substitute_lambda,
 )
+import oracles
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 alpha_polys = st.lists(rationals, max_size=3).map(AlphaPoly)
@@ -144,3 +146,109 @@ def test_parse_examples():
 @settings(max_examples=80)
 def test_format_parse_round_trip(p):
     assert parse_bipoly(format_bipoly(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# packed integer kernel against the schoolbook oracles
+# ---------------------------------------------------------------------------
+
+integers = st.one_of(st.integers(min_value=-3, max_value=3),
+                     st.integers(min_value=-(1 << 80), max_value=1 << 80))
+int_alpha_polys = st.lists(integers, max_size=4).map(AlphaPoly)
+int_bipolys = st.lists(int_alpha_polys, max_size=5).map(BiPoly)
+any_bipolys = st.one_of(bipolys, int_bipolys)
+
+
+@given(any_bipolys, any_bipolys)
+@settings(max_examples=150)
+def test_product_matches_schoolbook_oracle(p, q):
+    assert p * q == oracles.product(p, q)
+    for a in p.coeffs[:2]:
+        for b in q.coeffs[:2]:
+            assert a * b == AlphaPoly(oracles.a_mul([Fraction(c) for c in a.coeffs],
+                                                    [Fraction(c) for c in b.coeffs]))
+
+
+@given(any_bipolys, st.integers(min_value=0, max_value=4))
+@settings(max_examples=60)
+def test_power_matches_schoolbook_oracle(p, k):
+    assert p ** k == oracles.power(p, k)
+    for a in p.coeffs[:1]:
+        assert BiPoly((a ** k,)) == oracles.power(BiPoly((a,)), k)
+
+
+@given(any_bipolys, any_bipolys)
+@settings(max_examples=100)
+def test_exact_divide_recovers_oracle_quotient(r, q):
+    if not q:
+        return
+    assert exact_divide(oracles.product(r, q), q) == r
+
+
+@given(any_bipolys, any_bipolys)
+@settings(max_examples=150)
+def test_exact_divide_matches_long_division_oracle(p, q):
+    if not q:
+        return
+    try:
+        want = oracles.long_divide(p, q)
+    except DivisibilityError as exc:
+        with pytest.raises(DivisibilityError) as got:
+            exact_divide(p, q)
+        assert str(got.value) == str(exc)
+        assert got.value.remainder == exc.remainder
+    else:
+        assert exact_divide(p, q) == want
+
+
+def test_exact_divide_witnesses_match_oracle_examples():
+    # one of each message: a remainder in l, a failed Q[a] step inside the
+    # l-division, a divisor of higher l-degree, and a constant divisor
+    for p, q in ((LAM ** 2 + 1, LAM - 1),
+                 (LAM ** 2 + ALPHA, BiPoly((ALPHA_ONE, ALPHA)) * LAM + 1),
+                 (LAM + 1, LAM ** 2),
+                 (LAM + ALPHA, BiPoly((ALPHA + 1,)))):
+        with pytest.raises(DivisibilityError) as want:
+            oracles.long_divide(p, q)
+        with pytest.raises(DivisibilityError) as got:
+            exact_divide(p, q)
+        assert str(got.value) == str(want.value)
+        assert got.value.remainder == want.value.remainder
+
+
+@pytest.mark.parametrize("bits", [18, 54])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_product_at_the_width_bound(bits, sign):
+    # all coefficients +-P and Q: the a^(s-1) l^(u-1) coefficient of the
+    # product is exactly B = P*Q*min(s, t)*min(u, v) = 2^bits - 1, the most
+    # the width bits(B) + 2 = bits + 2 allows (|B| < 2^(w-2))
+    s = u = 3
+    p_abs, q_abs = 3, ((1 << bits) - 1) // 27
+    assert p_abs * q_abs * s * u == (1 << bits) - 1
+    p = BiPoly([AlphaPoly([sign * p_abs] * s)] * u)
+    q = BiPoly([AlphaPoly([q_abs] * s)] * u)
+    got = p * q
+    assert got == oracles.product(p, q)
+    assert got.coefficient(u - 1).coeffs[s - 1] == sign * ((1 << bits) - 1)
+    assert max(abs(c) for ap in got.coeffs for c in ap.coeffs) == (1 << bits) - 1
+
+
+def test_exact_divide_falls_back_when_quotient_outgrows_the_guess():
+    # (l^3 + 1)^6 / (l + 1)^6 = (l^2 - l + 1)^6: the dividend's largest
+    # coefficient is 20, the quotient's 141, beyond the guessed slot
+    r = (LAM ** 2 - LAM + 1) ** 6
+    q = (LAM + 1) ** 6
+    p = (LAM ** 3 + 1) ** 6
+    assert max(abs(c) for ap in p.coeffs for c in ap.coeffs) == 20
+    assert max(abs(c) for ap in r.coeffs for c in ap.coeffs) == 141
+    assert _packed_quotient(p.coeffs, q.coeffs) is None
+    assert exact_divide(p, q) == r
+
+
+def test_integral_coefficients_are_ints():
+    p = AlphaPoly((Fraction(4, 2), Fraction(1, 2)))
+    assert type(p.coeffs[0]) is int
+    assert p.coeffs[1] == Fraction(1, 2)
+    value = AlphaPoly.const(Fraction(4, 2)).constant_value()
+    assert type(value) is Fraction and value == 2
+    assert all(type(c) is Fraction for c in (LAM + 3).constant_coeffs())

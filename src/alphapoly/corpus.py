@@ -17,9 +17,11 @@ from .graphs import Graph
 
 
 def _invariant(g: Graph):
-    # the mixing-matrix charpoly, here in packed form, is a permutation invariant
-    width = _fl_width(g.n, max(2, *g.degrees))
+    # the mixing-matrix charpoly, here in packed form, is a permutation
+    # invariant; the width depends only on the degree multiset, so
+    # isomorphic graphs are packed alike
     nbrs = [g.neighbors(v) for v in range(g.n)]
+    width = _fl_width(g.degrees, nbrs)
     return (g.n, g.m, tuple(sorted(g.degrees)),
             tuple(_fl_coefficients(g.degrees, nbrs, width)))
 

@@ -3,8 +3,9 @@ polynomials.
 
 `charpoly_direct` runs the Faddeev-LeVerrier trace recurrence over Z[a],
 whose only divisions, by the step index, are exact.  Each Z[a] entry is
-packed into one big integer (evaluation at a = 2^w, w wide enough for
-balanced digit slots).  As M = diag(d)*2^w + (1 - 2^w)*A, row i of M X is
+packed into one big integer (evaluation at a = 2^w, a ring homomorphism, so
+the integers are the exact images; w is sized from the output coefficients
+alone, see `_fl_width`).  As M = diag(d)*2^w + (1 - 2^w)*A, row i of M X is
 the shifted neighbour-row update ((d_i*X[i] - S_i) << w) + S_i, S_i the sum
 of the rows of i's neighbours: a step costs O(n*(n+m)) big-integer
 additions and shifts, not n^3 big-integer products.  `corpus` uses the
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Sequence
+from math import prod
+from typing import Collection, Iterable, Sequence
 
 from .graphs import Graph, GraphParameterError
 from .polynomials import (
@@ -73,35 +75,28 @@ def _fl_coefficients(diag: Sequence[int], nbrs: Sequence[Iterable[int]],
     return out
 
 
-def _fl_width(n: int, mu: int) -> int:
-    """Slot width for `_fl_coefficients`, n >= 1, diagonal degrees <= mu >= 2.
+def _fl_width(diag: Sequence[int], nbrs: Sequence[Collection[int]]) -> int:
+    """Slot width for `_fl_coefficients`: each output c_k fits n+1 balanced
+    slots, so `_unpack` recovers it.
 
-    Claim: every entry, row sum S_i, trace and coefficient the recurrence
-    forms is p(2^w), p in Z[a] of degree <= n and l1 norm |p| < 2^(w-2), so
-    p's coefficients sit in n+1 balanced slots and `_unpack` recovers them.
-    Proof: |.| is subadditive and submultiplicative.  Entries of M are d_i*a,
-    1-a or 0, so |M_ij| <= mu, at most n per row.  Let E_k, G_k bound the
-    entries of M_k, B_k (G_0 = 1) and q = n*(n+1)*mu.  Then E_1 <= mu,
-    E_k <= n*mu*G_(k-1), |tr M_k| <= n*E_k, |c_k| <= n*E_k/k and
-    G_k <= (n+1)*E_k; by induction E_k <= mu*q^(k-1),
-    G_k <= (n+1)*mu*q^(k-1), and traces and c_k are <= n*mu*q^(k-1).  In the
-    row update |S_i| <= n*G_(k-1) and |d_i*X[i] - S_i| <= (mu+n)*G_(k-1)
-    <= n*mu*G_(k-1) for n >= 2 (n = 1 has no S_i), so both are
-    <= mu*q^(k-1).  Degrees are <= k <= n.  Over k <= n the largest bound is
-    n*mu*q^(n-1) = `bound` (for n = 1 all are <= mu < bound = 2*mu^2), and
-    bound < 2^(w-2).  Packing is a ring homomorphism, so the integer
-    arithmetic yields exactly these images.
+    Proof, |.| the l1 norm of the coefficients in `a`: row i of M has norm at
+    most r_i = |d_i| + 2*len(nbrs_i).  c_k is (-1)^k times the sum of the
+    principal k-minors of M, and a minor is at most the permanent of the
+    entrywise norms, at most the product of its row sums.  So
+    |c_k| <= e_k(r) < prod(1 + r_i) < 2^(w-1), and deg_a c_k <= k <= n.
+    Only the outputs need the bound: evaluation at a = 2^w is a ring
+    homomorphism Z[a] -> Z and c_k is in Z[a], so the recurrence's integers
+    are the exact images, however wide they grow, and its division by k
+    stays exact.  `_det_interpolated` uses the same row-sum bound.
     """
-    bound = n * mu * max(n * (n + 1) * mu, 2) ** max(n - 1, 1)
-    return bound.bit_length() + 2
+    bound = prod(1 + abs(d) + 2 * len(nb) for d, nb in zip(diag, nbrs))
+    return bound.bit_length() + 1
 
 
-def _charpoly_packed(diag: Sequence[int], nbrs: Sequence[Iterable[int]]) -> BiPoly:
+def _charpoly_packed(diag: Sequence[int], nbrs: Sequence[Collection[int]]) -> BiPoly:
     """Charpoly of a*diag(diag) + (1-a)*A, A given by the neighbour lists."""
     n = len(diag)
-    if n == 0:
-        return BiPoly.one()
-    width = _fl_width(n, max(2, *diag))
+    width = _fl_width(diag, nbrs)
     packed = _fl_coefficients(diag, nbrs, width)
     return BiPoly([AlphaPoly(_unpack(c, width, n + 1)) for c in reversed(packed)]
                   + [ALPHA_ONE])

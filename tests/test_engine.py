@@ -30,7 +30,7 @@ from alphapoly import (
 )
 from alphapoly.engine import _fl_coefficients, _fl_width, _pack, _unpack
 from alphapoly.polynomials import ALPHA
-from alphapoly.corpus import random_graph
+from alphapoly.corpus import _invariant, random_graph
 from conftest import fam
 import oracles
 
@@ -116,6 +116,14 @@ def _fl_exact_extremes(g):
     return coeffs, largest, norm
 
 
+def _elementary(rs):
+    """[e_0, e_1, ..., e_n], the elementary symmetric polynomials of rs."""
+    e = [1]
+    for r in rs:
+        e = [x + r * y for x, y in zip(e + [0], [0] + e)]
+    return e
+
+
 @st.composite
 def graphs_with_removed_vertices(draw):
     n = draw(st.integers(0, 9))
@@ -138,14 +146,19 @@ def test_kernel_matches_dense_oracle_and_bareiss(case):
     diag = [g.degree(v) for v in kept]
     nbrs = [[index[u] for u in g.neighbors(v) if u in index] for v in kept]
     k = len(kept)
+    width = _fl_width(diag, nbrs)
+    packed = _fl_coefficients(diag, nbrs, width)
     if k:
-        width = _fl_width(k, max(2, *diag))
         unit = 1 << width
         mat = [[diag[i] * unit if i == j else (1 - unit) if j in nbrs[i] else 0
                 for j in range(k)] for i in range(k)]
-        assert _fl_coefficients(diag, nbrs, width) == _fl_dense(mat, k)
+        assert packed == _fl_dense(mat, k)
     else:
-        assert _fl_coefficients(diag, nbrs, 8) == []
+        assert packed == []
+    # `_fl_width`'s claim: |c_k|_1 <= e_k(r) < 2^(w-1)
+    e = _elementary([d + 2 * len(nb) for d, nb in zip(diag, nbrs)])
+    for j, c in enumerate(packed, 1):
+        assert sum(map(abs, _unpack(c, width, k + 1))) <= e[j] < 1 << (width - 1)
     rows = lam_identity_minus(alpha_matrix(g)).rows
     minor = PolyMatrix([[rows[i][j] for j in kept] for i in kept])
     got = charpoly_submatrix_multi(g, removed)
@@ -174,14 +187,44 @@ def test_unpack_raises_when_top_slot_overflows():
 def test_fl_width_bounds_every_intermediate():
     for n in range(1, 13):
         for g in (fam("complete", n), fam("star", n)):
-            width = _fl_width(n, max(2, *g.degrees))
+            width = _fl_width(g.degrees, [g.neighbors(v) for v in range(n)])
             coeffs, largest, norm = _fl_exact_extremes(g)
-            # the docstring's claim, and what `_unpack` needs
+            # more than the docstring claims (it bounds the outputs only),
+            # but it holds on these families
             assert norm < 1 << (width - 2)
             assert largest < 1 << (width - 1)
             p = charpoly_direct(g)
             assert [p.coefficient(n - k) for k in range(1, n + 1)] == \
                 [AlphaPoly(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("diag", [[0], [5], [2, 2], [10, 10], [3, 1, 4, 1, 5]])
+def test_fl_width_bound_attained_without_edges(diag):
+    # with no edges c_k = (-1)^k e_k(d) a^k: |c_k|_1 is the bound e_k(r)
+    n = len(diag)
+    nbrs = [[] for _ in diag]
+    width = _fl_width(diag, nbrs)
+    e = _elementary(diag)
+    got = [_unpack(c, width, n + 1) for c in _fl_coefficients(diag, nbrs, width)]
+    assert got == [[0] * k + [(-1) ** k * e[k]] + [0] * (n - k)
+                   for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("diag, short", [([6], 1), ([10, 10], 1), ([2, 2], 2)])
+def test_unpack_raises_below_fl_width(diag, short):
+    # some e_k(d) needs every bit of these widths
+    nbrs = [[] for _ in diag]
+    width = _fl_width(diag, nbrs) - short
+    with pytest.raises(OverflowError):
+        for c in _fl_coefficients(diag, nbrs, width):
+            _unpack(c, width, len(diag) + 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_edgeless_graphs_need_no_width_floor(n):
+    g = Graph(n)
+    assert charpoly_direct(g) == LAM ** n
+    assert _invariant(g) == (n, 0, (0,) * n, (0,) * n)
 
 
 def test_alpha_matrix_k2():

@@ -50,7 +50,6 @@ from .engine import (
     EquitabilityError,
     PolyMatrix,
     QuotientMatrix,
-    adjacency_matrix,
     alpha_matrix,
     charpoly_direct,
     charpoly_submatrix,

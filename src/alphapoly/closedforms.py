@@ -13,6 +13,18 @@ graph the numeric referee checks, its report label and its command line
 `--at` parser.  `THEOREM_IDS` is the table's keys; `verify_identity` and
 every identity command of the CLI dispatch through the record.
 
+The twelve regular-graph identities (line, complement, subdivision, R, Q
+and total graph, each operation in its variants) share one shape: for an
+r-regular input the charpoly is a prefactor power (num/den)^e times the
+product of a polynomial q(l, x) over the eigenvalues x of a source matrix,
+which is exactly the resultant Res_x(P(x), q(l, x)) of the source's
+charpoly P.  `REGULAR` holds one `RegularRow` per id: minimum degree,
+source, and q, num, den and e, built for the input's r, n and m on each
+call.  `_root_product` takes the resultant, by `substitute_lambda` for a q
+linear in x and by Horner reduction of P modulo a monic quadratic q
+otherwise, so the total graph needs no matrix determinant.  The `cf_*`
+functions of these operations look their row up.
+
 Negative prefactor exponents (trees in the subdivision and Q identities,
 star-like inputs of the semi-regular line identity) are resolved by exact
 division.  A division that fails to be exact is a falsification signal and
@@ -25,15 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .engine import (
-    PolyMatrix,
-    adjacency_matrix,
-    alpha_matrix,
-    charpoly_direct,
-    charpoly_submatrix,
-    charpoly_submatrix_multi,
-    polymatrix_det,
-)
+from .engine import charpoly_direct, charpoly_submatrix, charpoly_submatrix_multi
 from .graphs import (
     FamilySpec,
     Graph,
@@ -67,10 +71,15 @@ ONE_MINUS_A = AlphaPoly((1, -1))
 PENDANT_FACTOR = BiPoly((AlphaPoly((1, -2)), ALPHA))
 
 
-def _apply_power(core: BiPoly, pref: BiPoly, e: int) -> BiPoly:
-    if e >= 0:
-        return core * pref ** e
-    return exact_divide(core, pref ** (-e))
+def _apply_power(core: BiPoly, e: int, num, den=1) -> BiPoly:
+    """core * (num/den)^e, the division exact or DivisibilityError."""
+    if e < 0:
+        num, den, e = den, num, -e
+    if e and num != 1:
+        core = core * num ** e
+    if e and den != 1:
+        core = exact_divide(core, den ** e)
+    return core
 
 
 def _quadratic(lam_coeff: AlphaPoly, const: AlphaPoly) -> BiPoly:
@@ -203,24 +212,8 @@ def submatrix_removal_vertex(spec: FamilySpec, remove_from: str | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# complement, pendants, coalescence
+# pendants, coalescence
 # ---------------------------------------------------------------------------
-
-def cf_complement_regular(g: Graph) -> BiPoly:
-    """Complement charpoly of a regular graph via reflection at na-1.
-
-    The rational factor (l+r+1-n)/(l+r+1-na) is handled by exact division;
-    failure to divide falsifies the identity.
-    """
-    r = _require_regular(g, 0)
-    n = g.n
-    reflected = substitute_lambda(
-        charpoly_direct(g), BiPoly((AlphaPoly((-1, n)), -ALPHA_ONE)), 1, n)
-    sign = 1 if n % 2 == 0 else -1
-    numerator = sign * (LAM + (r + 1 - n)) * reflected
-    denominator = LAM + AlphaPoly((r + 1, -n))
-    return exact_divide(numerator, denominator)
-
 
 def cf_pendant_one(h: Graph, v: int, s: int) -> BiPoly:
     """Charpoly after adding s pendant edges at the single vertex v."""
@@ -278,26 +271,6 @@ def cf_coalescence(g: Graph, u: int, h: Graph, v: int) -> BiPoly:
 # line graphs
 # ---------------------------------------------------------------------------
 
-def _line_regular_core(g: Graph, variant: str, r: int) -> BiPoly:
-    n, m = g.n, g.m
-    pref = LAM - AlphaPoly((-2, 2 * r))
-    if variant == "aalpha":
-        core = substitute_lambda(charpoly_direct(g), LAM - (r - 2), 1, n)
-    elif variant == "a":
-        p0 = eval_alpha(charpoly_direct(g), 0)
-        num = LAM - AlphaPoly((r - 2, r))
-        core = substitute_lambda(p0, num, ONE_MINUS_A, n)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _apply_power(core, pref, m - n)
-
-
-def cf_line_regular(g: Graph, variant: str = "aalpha") -> BiPoly:
-    """Line-graph charpoly of a regular graph (degree at least 2)."""
-    r = _require_regular(g, 2)
-    return _line_regular_core(g, variant, r)
-
-
 def _even_part(g: Graph, n1: int, n2: int) -> BiPoly:
     """Monic Q with adjacency charpoly P0(x) = x^(n1-n2) * Q(x^2).
 
@@ -342,12 +315,12 @@ def cf_line_semiregular(g: Graph, variant: str = "split") -> BiPoly:
     pref = LAM - (r1 + r2) * ALPHA + 2
     if variant == "product":
         core = substitute_lambda(q, a1 * a2, den2, n2) * a1 ** (n1 - n2)
-        return _apply_power(core, pref, beta)
+        return _apply_power(core, beta, pref)
     if variant == "split":
         q2 = exact_divide(q, LAM - r1 * r2)
         core = (substitute_lambda(q2, a1 * a2, den2, n2 - 1)
                 * a1 ** (n1 - n2) * (LAM - (r1 + r2 - 2)))
-        return _apply_power(core, pref, beta + 1)
+        return _apply_power(core, beta + 1, pref)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -362,104 +335,164 @@ def classical_line_semiregular(g: Graph) -> BiPoly:
     a1 = LAM - (r1 - 2)
     a2 = LAM - (r2 - 2)
     core = substitute_lambda(q, a1 * a2, 1, n2) * a1 ** (n1 - n2)
-    return _apply_power(core, LAM + 2, beta)
+    return _apply_power(core, beta, LAM + 2)
 
 
 # ---------------------------------------------------------------------------
-# subdivision and the edge-vertex operations
+# the regular-graph identities
 # ---------------------------------------------------------------------------
+
+class RegularRow(NamedTuple):
+    """One regular-graph identity.
+
+    For an r-regular input with n vertices and m edges, the charpoly of the
+    transformed graph is (num/den)^e times the product of q(l, x) over the
+    eigenvalues x of the source matrix: "M" is a*D + (1-a)*A, "(1-a)A" the
+    scaled adjacency matrix, and "line" the mixing matrix of the line graph,
+    whose charpoly the line row gives.  `terms(r, n, m)` builds (q, num, den, e),
+    q as its coefficients in x, ascending: (c0, c1), or (c0, c1, 1) for a
+    monic quadratic.
+    """
+
+    min_r: int
+    source: str
+    terms: Callable[[int, int, int], tuple]
+
+
+def _line_pref(r: int) -> BiPoly:
+    return LAM - AlphaPoly((-2, 2 * r))
+
+
+def _q_den(r: int) -> BiPoly:
+    """-(l - (r+1)a + 1), the x-coefficient of the Q-graph rows."""
+    return (r + 1) * ALPHA - 1 - LAM
+
+
+def _q_pref(r: int) -> BiPoly:
+    return _quadratic(AlphaPoly((2, -(3 * r + 2))),
+                      AlphaPoly((0, -2 * r, 2 * r * (r + 1))))
+
+
+REGULAR: dict[str, RegularRow] = {
+    "line-regular-aalpha": RegularRow(2, "M", lambda r, n, m: (
+        (LAM - (r - 2), -1), _line_pref(r), 1, m - n)),
+    "line-regular-a": RegularRow(2, "(1-a)A", lambda r, n, m: (
+        (LAM - AlphaPoly((r - 2, r)), -1), _line_pref(r), 1, m - n)),
+    # reflection at na - 1 with the rational factor (l+r+1-n)/(l+r+1-na)
+    "complement-regular": RegularRow(0, "M", lambda r, n, m: (
+        (LAM + AlphaPoly((1, -n)), 1),
+        LAM + (r + 1 - n), LAM + AlphaPoly((r + 1, -n)), 1)),
+    "subdivision-aalpha": RegularRow(1, "M", lambda r, n, m: (
+        (_quadratic(-(r + 2) * ALPHA, AlphaPoly((-r, 3 * r))), -ONE_MINUS_A),
+        LAM - 2 * ALPHA, 1, m - n)),
+    "subdivision-a": RegularRow(1, "(1-a)A", lambda r, n, m: (
+        (_quadratic(-(r + 2) * ALPHA, AlphaPoly((-r, 2 * r, r))), -ONE_MINUS_A),
+        LAM - 2 * ALPHA, 1, m - n)),
+    "rgraph-aalpha": RegularRow(1, "M", lambda r, n, m: (
+        (_quadratic(-(r + 2) * ALPHA, AlphaPoly((-r, 3 * r))), 3 * ALPHA - 1 - LAM),
+        LAM - 2 * ALPHA, 1, m - n)),
+    "rgraph-a": RegularRow(1, "(1-a)A", lambda r, n, m: (
+        (_quadratic(-2 * (r + 1) * ALPHA, AlphaPoly((-r, 2 * r, 3 * r))),
+         3 * ALPHA - 1 - LAM),
+        LAM - 2 * ALPHA, 1, m - n)),
+    "qgraph-line": RegularRow(1, "line", lambda r, n, m: (
+        (_quadratic(-(r + 2) * ALPHA, AlphaPoly((-2, 2 * (r + 1)))), _q_den(r)),
+        1, LAM - r * ALPHA, m - n)),
+    "qgraph-aalpha": RegularRow(1, "M", lambda r, n, m: (
+        (_quadratic(-AlphaPoly((r - 2, r + 2)), AlphaPoly((-r, r * (r + 1)))),
+         _q_den(r)),
+        _q_pref(r), LAM - r * ALPHA, m - n)),
+    "qgraph-a": RegularRow(1, "(1-a)A", lambda r, n, m: (
+        (_quadratic(-AlphaPoly((r - 2, 2 * (r + 1))),
+                    AlphaPoly((-r, r * r, r * (r + 1)))), _q_den(r)),
+        _q_pref(r), LAM - r * ALPHA, m - n)),
+    # block elimination of the vertex+edge matrix leaves det(M^2 + lin*M + const)
+    "total-aalpha": RegularRow(2, "M", lambda r, n, m: (
+        (_quadratic(AlphaPoly((2 - r, -(r + 2))), AlphaPoly((-r, r * (r + 1)))),
+         (r + 3) * ALPHA - 2 * LAM + (r - 3), 1),
+        LAM + 2 - 2 * (r + 1) * ALPHA, 1, m - n)),
+    "total-a": RegularRow(2, "(1-a)A", lambda r, n, m: (
+        (_quadratic(-AlphaPoly((r - 2, 3 * r + 2)),
+                    AlphaPoly((-r, 2 * r * (r - 1), r * (2 * r + 3)))),
+         3 * (r + 1) * ALPHA + (r - 3) - 2 * LAM, 1),
+        LAM + 2 - 2 * (r + 1) * ALPHA, 1, m - n)),
+}
+
+
+def _root_product(p: BiPoly, q: tuple) -> BiPoly:
+    """The product of q(l, x) over the roots x of the monic p, which is the
+    resultant Res_x(p(x), q(l, x)); q as in `RegularRow`.
+
+    A linear q = c0 + c1*x gives (-c1)^deg(p) * p(c0/(-c1)).  For a monic
+    quadratic q = x^2 + lin*x + const with roots y1, y2, Res_x(p, q) equals
+    Res_x(q, p) = p(y1)*p(y2), since deg q is even.  With u + v*x = p mod q,
+    p(y) = u + v*y at each root, so the product is
+    u^2 + u*v*(y1 + y2) + v^2*y1*y2 = u*(u - v*lin) + v^2*const.  Horner's
+    rule reduces p mod q one coefficient c at a time:
+    (u + v*x)*x + c = (u - v*lin)*x + (c - v*const) mod q.
+    """
+    if len(q) == 2:
+        return substitute_lambda(p, q[0], -q[1], p.degree)
+    const, lin, _ = q
+    u = v = BiPoly.zero()
+    for c in reversed(p.coeffs):
+        u, v = c - v * const, u - v * lin
+    return u * (u - v * lin) + v * v * const
+
+
+def _evaluate(identity: str, g: Graph, r: int) -> BiPoly:
+    """The row of `identity` at g, of degree r; no hypothesis check, so the
+    Q-graph row can compose through the line row below its degree bound."""
+    row = REGULAR[identity]
+    q, num, den, e = row.terms(r, g.n, g.m)
+    if row.source == "line":
+        p = _evaluate("line-regular-aalpha", g, r)
+    else:
+        p = charpoly_direct(g)
+        if row.source == "(1-a)A":
+            p = substitute_lambda(eval_alpha(p, 0), LAM, ONE_MINUS_A, g.n)
+    return _apply_power(_root_product(p, q), e, num, den)
+
+
+def _regular(g: Graph, op: str, variant: str = "") -> BiPoly:
+    identity = f"{op}-{variant}" if variant else op
+    if identity not in REGULAR:
+        # the degree hypothesis is reported before a bad variant
+        _require_regular(g, REGULAR[f"{op}-a"].min_r)
+        raise ValueError(f"unknown variant {variant!r}")
+    return _evaluate(identity, g, _require_regular(g, REGULAR[identity].min_r))
+
+
+def cf_complement_regular(g: Graph) -> BiPoly:
+    """Complement charpoly of a regular graph."""
+    return _regular(g, "complement-regular")
+
+
+def cf_line_regular(g: Graph, variant: str = "aalpha") -> BiPoly:
+    """Line-graph charpoly of a regular graph (degree at least 2)."""
+    return _regular(g, "line-regular", variant)
+
 
 def cf_subdivision(g: Graph, variant: str = "aalpha") -> BiPoly:
     """Subdivision charpoly of a regular graph."""
-    r = _require_regular(g, 1)
-    n, m = g.n, g.m
-    pref = LAM - 2 * ALPHA
-    if variant == "aalpha":
-        num = _quadratic(-(r + 2) * ALPHA, AlphaPoly((-r, 3 * r)))
-        core = substitute_lambda(charpoly_direct(g), num, ONE_MINUS_A, n)
-    elif variant == "a":
-        num = _quadratic(-(r + 2) * ALPHA, AlphaPoly((-r, 2 * r, r)))
-        core = substitute_lambda(eval_alpha(charpoly_direct(g), 0), num,
-                                 ONE_MINUS_A * ONE_MINUS_A, n)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _apply_power(core, pref, m - n)
+    return _regular(g, "subdivision", variant)
 
 
 def cf_rgraph(g: Graph, variant: str = "aalpha") -> BiPoly:
     """Charpoly of the edge-triangle extension (one new vertex per edge,
     joined to both endpoints) of a regular graph."""
-    r = _require_regular(g, 1)
-    n, m = g.n, g.m
-    d1 = LAM - 3 * ALPHA + 1
-    if variant == "aalpha":
-        num = _quadratic(-(r + 2) * ALPHA, AlphaPoly((-r, 3 * r)))
-        core = substitute_lambda(charpoly_direct(g), num, d1, n)
-    elif variant == "a":
-        num = _quadratic(-2 * (r + 1) * ALPHA, AlphaPoly((-r, 2 * r, 3 * r)))
-        core = substitute_lambda(eval_alpha(charpoly_direct(g), 0), num,
-                                 ONE_MINUS_A * d1, n)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _apply_power(core, LAM - 2 * ALPHA, m - n)
+    return _regular(g, "rgraph", variant)
 
 
 def cf_qgraph(g: Graph, variant: str = "line") -> BiPoly:
-    """Charpoly of the subdivision-plus-line extension of a regular graph.
-
-    variant "line" routes through the line-graph charpoly; the other two
-    compose that step symbolically down to the input charpoly.  All three
-    resolve the rational prefactor by exact division.
-    """
-    r = _require_regular(g, 1)
-    n, m = g.n, g.m
-    dq = LAM - (r + 1) * ALPHA + 1
-    if variant == "line":
-        pl = _line_regular_core(g, "aalpha", r)
-        num = _quadratic(-(r + 2) * ALPHA, AlphaPoly((-2, 2 * (r + 1))))
-        core = substitute_lambda(pl, num, dq, m)
-        return _apply_power(core, LAM - r * ALPHA, n - m)
-    if variant == "aalpha":
-        num = _quadratic(-AlphaPoly((r - 2, r + 2)), AlphaPoly((-r, r * (r + 1))))
-        core = substitute_lambda(charpoly_direct(g), num, dq, n)
-    elif variant == "a":
-        num = _quadratic(-AlphaPoly((r - 2, 2 * (r + 1))),
-                         AlphaPoly((-r, r * r, r * (r + 1))))
-        core = substitute_lambda(eval_alpha(charpoly_direct(g), 0), num,
-                                 ONE_MINUS_A * dq, n)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    num2 = _quadratic(AlphaPoly((2, -(3 * r + 2))),
-                      AlphaPoly((0, -2 * r, 2 * r * (r + 1))))
-    e = m - n
-    if e >= 0:
-        return exact_divide(core * num2 ** e, (LAM - r * ALPHA) ** e)
-    return exact_divide(core * (LAM - r * ALPHA) ** (-e), num2 ** (-e))
+    """Charpoly of the subdivision-plus-line extension of a regular graph;
+    variant "line" composes through the line-graph charpoly."""
+    return _regular(g, "qgraph", variant)
 
 
 def cf_total(g: Graph, variant: str = "aalpha") -> BiPoly:
-    """Total-graph charpoly of a regular graph of degree at least 2.
-
-    Evaluates the determinant of the matrix quadratic that the block
-    elimination of the vertex+edge matrix produces; per-eigenvalue radical
-    forms of the same result are checked numerically elsewhere.
-    """
-    r = _require_regular(g, 2)
-    n, m = g.n, g.m
-    pref = LAM + 2 - 2 * (r + 1) * ALPHA
-    if variant == "aalpha":
-        base = alpha_matrix(g)
-        lin = (r + 3) * ALPHA - 2 * LAM + (r - 3)
-        const = _quadratic(AlphaPoly((2 - r, -(r + 2))), AlphaPoly((-r, r * (r + 1))))
-    elif variant == "a":
-        base = adjacency_matrix(g).scale(BiPoly((ONE_MINUS_A,)))
-        lin = 3 * (r + 1) * ALPHA + (r - 3) - 2 * LAM
-        const = _quadratic(-AlphaPoly((r - 2, 3 * r + 2)),
-                           AlphaPoly((-r, 2 * r * (r - 1), r * (2 * r + 3))))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    quad = base @ base + base.scale(lin) + PolyMatrix.identity(n).scale(const)
-    return polymatrix_det(quad) * pref ** (m - n)
+    """Total-graph charpoly of a regular graph of degree at least 2."""
+    return _regular(g, "total", variant)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,11 @@ of the rows of i's neighbours: a step costs O(n*(n+m)) big-integer
 additions and shifts, not n^3 big-integer products.  `corpus` uses the
 same kernel for its isomorphism invariant.
 
-`polymatrix_det` is the independent second algorithm: fraction-free Bareiss
-elimination over Q[a][l].  For integer-coefficient matrices it can also run
-Bareiss on packed Z[a] values at the points l = 0..d, d a bound on the
-l-degree, and recover the determinant by Newton interpolation over Z (the
-divided differences of an integer polynomial at consecutive integers are
-integers, so every division is exact), which is what makes the
-matrix-quadratic determinants of the total-graph identity cheap; both
-strategies are exact and cross-checked in the test suite.  The packing
-helpers `_pack`/`_unpack` are those of `polynomials`.
+`polymatrix_det` is the one determinant of a polynomial matrix: symbolic
+fraction-free Bareiss elimination over Q[a][l].  It computes the quotient
+charpolys of equitable partitions, and the test suite uses it as the
+independent second algorithm against the trace recurrence.  The unpacking
+helper `_unpack` is that of `polynomials`.
 """
 
 from __future__ import annotations
@@ -35,8 +31,6 @@ from .polynomials import (
     ALPHA_ZERO,
     AlphaPoly,
     BiPoly,
-    DivisibilityError,
-    _pack,
     _unpack,
     exact_divide,
 )
@@ -87,7 +81,7 @@ def _fl_width(diag: Sequence[int], nbrs: Sequence[Collection[int]]) -> int:
     Only the outputs need the bound: evaluation at a = 2^w is a ring
     homomorphism Z[a] -> Z and c_k is in Z[a], so the recurrence's integers
     are the exact images, however wide they grow, and its division by k
-    stays exact.  `_det_interpolated` uses the same row-sum bound.
+    stays exact.
     """
     bound = prod(1 + abs(d) + 2 * len(nb) for d, nb in zip(diag, nbrs))
     return bound.bit_length() + 1
@@ -119,35 +113,8 @@ class PolyMatrix:
         self.size = size
         self.rows = rows
 
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        one, zero = BiPoly.one(), BiPoly.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def entry(self, i: int, j: int) -> BiPoly:
         return self.rows[i][j]
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return PolyMatrix([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return PolyMatrix([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        cols = list(zip(*other.rows))
-        return PolyMatrix([[_dot(row, col) for col in cols] for row in self.rows])
-
-    def scale(self, s) -> "PolyMatrix":
-        s = _coerce(s)
-        return PolyMatrix([[s * e for e in row] for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -166,13 +133,6 @@ def _coerce(e) -> BiPoly:
     return BiPoly((AlphaPoly((e,)),))
 
 
-def _dot(row, col) -> BiPoly:
-    out = BiPoly.zero()
-    for a, b in zip(row, col):
-        out = out + a * b
-    return out
-
-
 def alpha_matrix(g: Graph) -> PolyMatrix:
     """a*D(g) + (1-a)*A(g) as a symbolic matrix."""
     one_minus_a = AlphaPoly((1, -1))
@@ -188,11 +148,6 @@ def alpha_matrix(g: Graph) -> PolyMatrix:
                 row.append(BiPoly.zero())
         rows.append(row)
     return PolyMatrix(rows)
-
-
-def adjacency_matrix(g: Graph) -> PolyMatrix:
-    return PolyMatrix([[1 if g.adjacent(i, j) else 0 for j in range(g.n)]
-                       for i in range(g.n)])
 
 
 @lru_cache(maxsize=None)
@@ -236,11 +191,14 @@ def charpoly_submatrix_multi(g: Graph, vertices) -> BiPoly:
 # determinants of polynomial matrices
 # ---------------------------------------------------------------------------
 
-def _bareiss_symbolic(rows: list[list[BiPoly]]) -> BiPoly:
-    n = len(rows)
+def polymatrix_det(mat: PolyMatrix) -> BiPoly:
+    """Exact determinant over Q[a][l] by fraction-free Bareiss elimination:
+    each step's division by the previous pivot is exact (Sylvester's
+    identity), so `exact_divide` keeps every entry a polynomial."""
+    n = mat.size
     if n == 0:
         return BiPoly.one()
-    m = [row[:] for row in rows]
+    m = [list(row) for row in mat.rows]
     sign = 1
     prev = BiPoly.one()
     for k in range(n - 1):
@@ -260,117 +218,6 @@ def _bareiss_symbolic(rows: list[list[BiPoly]]) -> BiPoly:
         prev = piv
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
-
-
-def _bareiss_int(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        p = k
-        while p < n and m[p][k] == 0:
-            p += 1
-        if p == n:
-            return 0
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = piv * m[i][j] - m[i][k] * m[k][j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise ArithmeticError("Bareiss division not exact")
-                m[i][j] = q
-            m[i][k] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
-
-
-def _int_coeff_matrix(mat: PolyMatrix):
-    """Entries as nested int coefficient lists, or None if not integral."""
-    if any(type(c) is not int for row in mat.rows for e in row
-           for ap in e.coeffs for c in ap.coeffs):
-        return None
-    return [[[ap.coeffs for ap in e.coeffs] for e in row] for row in mat.rows]
-
-
-def _det_interpolated(mat: PolyMatrix, ints) -> BiPoly:
-    """det(mat) from packed integer Bareiss determinants at l = 0..d, d a
-    bound on its l-degree, by Newton interpolation over Z.
-
-    With f the determinant, the Newton coefficient of (l)(l-1)...(l-k+1) is
-    the divided difference f[0..k] = Delta^k f(0)/k!.  Every divided
-    difference f[j..j+k] = (f[j+1..j+k] - f[j..j+k-1])/k is Delta^k f(j)/k!,
-    an integer because f has integer coefficients (l^i is an integer
-    combination of the binomials k!*C(l, k)); so each division by k is an
-    exact integer division, coefficient by coefficient in `a`.  Horner in
-    (l - t) then expands the Newton form.
-    """
-    # a zero row (degree -1) must not lower the bounds the other rows need
-    ldeg = sum(max(0, *(e.degree for e in row)) for row in mat.rows)
-    digits = sum(max(0, *(e.alpha_degree() for e in row)) for row in mat.rows) + 1
-    values = []
-    for t in range(ldeg + 1):
-        # evaluate each entry at l = t, keeping Z[a] coefficient lists
-        evals = []
-        bound = 1
-        for row in ints:
-            rowsum = 0
-            erow = []
-            for ce in row:
-                acc = [0] * digits
-                tp = 1
-                for cs in ce:
-                    for k, c in enumerate(cs):
-                        acc[k] += c * tp
-                    tp *= t
-                erow.append(acc)
-                rowsum += sum(abs(c) for c in acc)
-            evals.append(erow)
-            bound *= max(rowsum, 1)
-        width = bound.bit_length() + 2
-        packed = [[_pack(e, width) for e in row] for row in evals]
-        values.append(_unpack(_bareiss_int(packed), width, digits))
-    for k in range(1, ldeg + 1):
-        for j in range(ldeg, k - 1, -1):
-            diffs = [x - y for x, y in zip(values[j], values[j - 1])]
-            if any(x % k for x in diffs):
-                raise ArithmeticError("divided difference not integral")
-            values[j] = [x // k for x in diffs]
-    # Horner: acc = acc*(l - t) + c_t from t = d down to 0
-    acc = [values[ldeg]]
-    for t in range(ldeg - 1, -1, -1):
-        shifted = [values[t]] + acc
-        for j, row in enumerate(acc):
-            shifted[j] = [x - t * y for x, y in zip(shifted[j], row)]
-        acc = shifted
-    return BiPoly(AlphaPoly(row) for row in acc)
-
-
-def polymatrix_det(mat: PolyMatrix, method: str = "auto") -> BiPoly:
-    """Exact determinant over Q[a][l].
-
-    method: "bareiss" forces symbolic fraction-free elimination,
-    "interpolate" forces packed evaluation at integer points of l (integer
-    coefficients only), "auto" picks interpolation when it applies.
-    """
-    if method not in ("auto", "bareiss", "interpolate"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "bareiss":
-        return _bareiss_symbolic([list(r) for r in mat.rows])
-    ints = _int_coeff_matrix(mat)
-    if ints is None:
-        if method == "interpolate":
-            raise ValueError("interpolation requires integer coefficients")
-        return _bareiss_symbolic([list(r) for r in mat.rows])
-    if method == "auto" and mat.size <= 3:
-        return _bareiss_symbolic([list(r) for r in mat.rows])
-    return _det_interpolated(mat, ints)
 
 
 def lam_identity_minus(mat: PolyMatrix) -> PolyMatrix:
@@ -444,12 +291,3 @@ def quotient_matrix(g: Graph, partition) -> QuotientMatrix:
         entries.append(row)
     return QuotientMatrix(entries, classes)
 
-
-def quotient_divides(g: Graph, partition) -> bool:
-    """Exact divisibility of the full charpoly by the quotient charpoly."""
-    q = quotient_matrix(g, partition)
-    try:
-        exact_divide(charpoly_direct(g), q.charpoly())
-    except DivisibilityError:
-        return False
-    return True

@@ -185,6 +185,22 @@ def _packed_quotient(ps: Sequence["AlphaPoly"], qs: Sequence["AlphaPoly"]):
 # the ring
 # ---------------------------------------------------------------------------
 
+def _power(base, k: int, one):
+    """base**k by binary powering, right to left: one product per set bit
+    of k and one squaring per bit below the top one, so no square of the
+    top bit's power is ever formed."""
+    if k < 0:
+        raise ValueError("negative power")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
 class AlphaPoly:
     """Dense polynomial in the weight variable `a` over Q; integral
     coefficients are ints."""
@@ -266,16 +282,7 @@ class AlphaPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "AlphaPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = ALPHA_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, ALPHA_ONE)
 
     def evaluate(self, a):
         """Horner evaluation; exact for int and Fraction input."""
@@ -423,16 +430,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "BiPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = BiPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, BiPoly.one())
 
     def evaluate(self, a, lam):
         """Evaluate at numeric (a, l); exact for Fractions, float for floats."""

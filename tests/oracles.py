@@ -1,5 +1,6 @@
 """The schoolbook kernels the packed integer ones replaced, kept as test
-oracles: plain lists of Fractions, using no ring operation of the package.
+oracles: plain lists of Fractions, using no ring operation of the package;
+and the matrix-quadratic evaluation of the total-graph identity.
 
 A polynomial in `l` is a list of rows (ascending in l), each row a list of
 Fractions (ascending in a), both trimmed of trailing zeros.
@@ -7,7 +8,9 @@ Fractions (ascending in a), both trimmed of trailing zeros.
 
 from fractions import Fraction
 
-from alphapoly.polynomials import AlphaPoly, BiPoly, DivisibilityError
+from alphapoly.engine import PolyMatrix, polymatrix_det
+from alphapoly.graphs import is_regular
+from alphapoly.polynomials import ALPHA, LAM, AlphaPoly, BiPoly, DivisibilityError
 
 
 def rows(p: BiPoly):
@@ -128,8 +131,9 @@ def _a_det(m):
 
 
 def lagrange_det(mat) -> BiPoly:
-    """det of a PolyMatrix by its values at l = 0..d (d the l-degree bound
-    the engine uses) and Lagrange interpolation over Q."""
+    """det of a PolyMatrix by its values at l = 0..d (d the sum over the rows
+    of their largest l-degree, which bounds the determinant's) and Lagrange
+    interpolation over Q."""
     d = sum(max(0, *(e.degree for e in row)) for row in mat.rows)
     points = range(d + 1)
     values = []
@@ -154,3 +158,28 @@ def lagrange_det(mat) -> BiPoly:
         for k, b in enumerate(basis):
             result[k] = a_add(result[k], [b * v / denom for v in values[t]])
     return bipoly(result)
+
+
+def total_matrix_quadratic(g, variant: str) -> BiPoly:
+    """The total-graph identity of an r-regular g evaluated as a matrix
+    determinant: det(M^2 + lin*M + const*I) * (l + 2 - 2(r+1)a)^(m-n), M the
+    mixing matrix ("aalpha") or (1-a)A ("a"), the matrix built entry by
+    entry and its determinant taken by the package's `polymatrix_det`, so
+    this oracle uses the package's ring."""
+    r, n = is_regular(g), g.n
+    off = AlphaPoly((1, -1))
+    if variant == "aalpha":
+        diag = AlphaPoly((0, r))
+        lin = (r + 3) * ALPHA - 2 * LAM + (r - 3)
+        const = BiPoly((AlphaPoly((-r, r * (r + 1))), AlphaPoly((2 - r, -(r + 2))), 1))
+    else:
+        diag = AlphaPoly()
+        lin = 3 * (r + 1) * ALPHA + (r - 3) - 2 * LAM
+        const = BiPoly((AlphaPoly((-r, 2 * r * (r - 1), r * (2 * r + 3))),
+                        -AlphaPoly((r - 2, 3 * r + 2)), 1))
+    mat = [[diag if i == j else off if g.adjacent(i, j) else AlphaPoly()
+            for j in range(n)] for i in range(n)]
+    quad = [[sum((mat[i][k] * mat[k][j] for k in range(n)), AlphaPoly())
+             + lin * mat[i][j] + (const if i == j else 0)
+             for j in range(n)] for i in range(n)]
+    return polymatrix_det(PolyMatrix(quad)) * (LAM + 2 - 2 * (r + 1) * ALPHA) ** (g.m - n)

@@ -9,6 +9,7 @@ documents that finding and the direct path stays the ground truth.
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from alphapoly import (
     AlphaPoly,
@@ -16,6 +17,7 @@ from alphapoly import (
     CoalescenceSpec,
     FactoredSpectrum,
     FamilySpec,
+    Graph,
     HypothesisNotMet,
     LAM,
     cf_coalescence,
@@ -38,12 +40,13 @@ from alphapoly import (
     exact_divide,
     verify_identity,
 )
-from alphapoly.closedforms import submatrix_removal_vertex
+from alphapoly.closedforms import _root_product, submatrix_removal_vertex
 from alphapoly.graphs import GraphParameterError
 from alphapoly.corpus import random_graph, regular_corpus
 from alphapoly.polynomials import ALPHA, DivisibilityError
 from alphapoly import operations as ops
 from conftest import fam
+import oracles
 
 
 def factored(*pairs):
@@ -398,6 +401,66 @@ def test_srqt_variants_agree_on_regular_corpus():
 def test_total_requires_degree_two():
     with pytest.raises(HypothesisNotMet):
         cf_total(fam("complete", 2))
+
+
+def test_total_matches_matrix_quadratic_oracle(petersen):
+    graphs = [g for _, g in regular_corpus(6, min_r=2, min_n=3)]
+    for g in graphs + [fam("cycle", 9), petersen]:
+        for variant in ("aalpha", "a"):
+            assert cf_total(g, variant) == oracles.total_matrix_quadratic(g, variant)
+
+
+small_z = st.lists(st.integers(-3, 3), max_size=3).map(AlphaPoly)
+z_a_l = st.lists(small_z, max_size=3).map(BiPoly)
+
+
+@given(st.lists(st.integers(-3, 3), max_size=6), z_a_l, z_a_l)
+@example([2, -1, 2, 2], LAM - ALPHA, BiPoly((AlphaPoly((1, 2)), 3, 1)))
+@settings(max_examples=60, deadline=None)
+def test_root_product_is_the_resultant(roots, c1, c0):
+    p = quad = lin = BiPoly.one()
+    for x in roots:
+        p = p * (LAM - x)
+        quad = quad * (x * x + c1 * x + c0)
+        lin = lin * (c0 + c1 * x)
+    assert _root_product(p, (c0, c1, 1)) == quad
+    assert _root_product(p, (c0, c1)) == lin
+
+
+# identity -> (formula, variant, minimum degree)
+REGULAR_IDS = {
+    "line-regular-aalpha": (cf_line_regular, "aalpha", 2),
+    "line-regular-a": (cf_line_regular, "a", 2),
+    "complement-regular": (cf_complement_regular, None, 0),
+    "subdivision-aalpha": (cf_subdivision, "aalpha", 1),
+    "subdivision-a": (cf_subdivision, "a", 1),
+    "rgraph-aalpha": (cf_rgraph, "aalpha", 1),
+    "rgraph-a": (cf_rgraph, "a", 1),
+    "qgraph-line": (cf_qgraph, "line", 1),
+    "qgraph-aalpha": (cf_qgraph, "aalpha", 1),
+    "qgraph-a": (cf_qgraph, "a", 1),
+    "total-aalpha": (cf_total, "aalpha", 2),
+    "total-a": (cf_total, "a", 2),
+}
+
+
+@pytest.mark.parametrize("identity", REGULAR_IDS)
+def test_regular_identity_hypotheses(identity):
+    formula, variant, min_r = REGULAR_IDS[identity]
+    report = verify_identity(identity, fam("path", 4))
+    assert (report.status, report.detail) == ("hypothesis-not-met", "graph is not regular")
+    if min_r:
+        low = Graph(3) if min_r == 1 else fam("complete", 2)
+        report = verify_identity(identity, low)
+        assert report.detail == f"degree {min_r - 1} below required minimum {min_r}"
+    if variant:
+        with pytest.raises(ValueError, match="^unknown variant 'bogus'$"):
+            formula(fam("complete", 4), "bogus")
+        with pytest.raises(HypothesisNotMet, match="^graph is not regular$"):
+            formula(fam("path", 4), "bogus")
+    # qgraph-line composes through the line row but not its degree bound
+    passes = verify_identity(identity, fam("complete", 2)).passed
+    assert passes == (min_r < 2)
 
 
 # --- verify_identity harness -------------------------------------------------

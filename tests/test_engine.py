@@ -28,8 +28,8 @@ from alphapoly import (
     polymatrix_det,
     quotient_matrix,
 )
-from alphapoly.engine import _fl_coefficients, _fl_width, _pack, _unpack
-from alphapoly.polynomials import ALPHA
+from alphapoly.engine import _fl_coefficients, _fl_width
+from alphapoly.polynomials import ALPHA, _pack, _unpack
 from alphapoly.corpus import _invariant, random_graph
 from conftest import fam
 import oracles
@@ -162,7 +162,7 @@ def test_kernel_matches_dense_oracle_and_bareiss(case):
     rows = lam_identity_minus(alpha_matrix(g)).rows
     minor = PolyMatrix([[rows[i][j] for j in kept] for i in kept])
     got = charpoly_submatrix_multi(g, removed)
-    assert got == polymatrix_det(minor, method="bareiss")
+    assert got == polymatrix_det(minor)
     if not removed:
         assert charpoly_direct(g) == got
 
@@ -307,10 +307,10 @@ def test_submatrix_multi_matches_cofactor():
 
 
 def test_polymatrix_det_examples():
-    assert polymatrix_det(PolyMatrix.identity(3)) == BiPoly.one()
+    assert polymatrix_det(PolyMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == BiPoly.one()
     d = PolyMatrix([[LAM - ALPHA, 0], [0, LAM + ALPHA]])
     expect = LAM ** 2 - BiPoly((ALPHA * ALPHA,))
-    assert polymatrix_det(d, method="bareiss") == expect
+    assert polymatrix_det(d) == expect
 
 
 def test_bareiss_vs_trace_recurrence():
@@ -318,19 +318,7 @@ def test_bareiss_vs_trace_recurrence():
     for _ in range(10):
         g = random_graph(rng.randrange(1, 7), rng)
         mat = lam_identity_minus(alpha_matrix(g))
-        assert polymatrix_det(mat, method="bareiss") == charpoly_direct(g)
-
-
-def test_interpolated_det_matches_bareiss():
-    rng = random.Random(23)
-    for _ in range(8):
-        n = rng.randrange(1, 5)
-        rows = [[BiPoly([AlphaPoly([rng.randrange(-3, 4) for _ in range(2)])
-                         for _ in range(rng.randrange(1, 3))])
-                 for _ in range(n)] for _ in range(n)]
-        mat = PolyMatrix(rows)
-        assert polymatrix_det(mat, method="interpolate") == \
-            polymatrix_det(mat, method="bareiss")
+        assert polymatrix_det(mat) == charpoly_direct(g)
 
 
 @st.composite
@@ -348,8 +336,8 @@ def integer_polymatrices(draw):
 @given(integer_polymatrices())
 @example(PolyMatrix([[0, 0], [BiPoly([AlphaPoly([1, 2, 3])]), 1]]))  # zero row
 @settings(max_examples=80, deadline=None)
-def test_newton_interpolation_matches_lagrange_oracle(mat):
-    assert polymatrix_det(mat, method="interpolate") == oracles.lagrange_det(mat)
+def test_polymatrix_det_matches_lagrange_oracle(mat):
+    assert polymatrix_det(mat) == oracles.lagrange_det(mat)
 
 
 def test_quotient_matrix_star():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from alphapoly import polynomials
 from alphapoly.polynomials import (
     ALPHA,
     ALPHA_ONE,
@@ -175,6 +176,26 @@ def test_power_matches_schoolbook_oracle(p, k):
     assert p ** k == oracles.power(p, k)
     for a in p.coeffs[:1]:
         assert BiPoly((a ** k,)) == oracles.power(BiPoly((a,)), k)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 5, 8, 13, 32])
+def test_power_stops_after_the_top_bit(monkeypatch, e):
+    # one product per set bit of e and one squaring per bit below the top
+    # one, so no product outgrows the result's l-degree e
+    degrees = []
+    product = polynomials._product
+
+    def counting(ps, qs):
+        degrees.append(len(ps) + len(qs) - 2)
+        return product(ps, qs)
+
+    monkeypatch.setattr(polynomials, "_product", counting)
+    p = LAM + AlphaPoly((2, -34))
+    assert (p ** e).degree == max(degrees) == e
+    assert len(degrees) == e.bit_length() - 1 + bin(e).count("1")
+    degrees.clear()
+    AlphaPoly((2, -34)) ** e
+    assert len(degrees) == e.bit_length() - 1 + bin(e).count("1")
 
 
 @given(any_bipolys, any_bipolys)
